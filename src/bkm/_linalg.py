@@ -34,14 +34,10 @@ class SolveRecord:
 
 @dataclass
 class DenseSystem:
-    """An assembled dense collocation system A x = b.
-
-    ``condition`` is populated once the matrix has been factored.
-    """
+    """An assembled dense collocation system A x = b."""
 
     matrix: np.ndarray
     rhs: np.ndarray | None = None
-    condition: float | None = None
 
 
 class FactoredMatrix:

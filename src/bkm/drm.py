@@ -14,11 +14,8 @@ import numpy as np
 from ._linalg import COND_LIMIT, FactoredMatrix
 from .errors import DegenerateGeometryError
 from .geometry import COINCIDENT_TOL, KnotSet, as_point
+from .geometry import pairwise_distances as _pairwise_distances
 from .kernels import KernelPair
-
-
-def _pairwise_distances(points_a, points_b):
-    return np.linalg.norm(points_a[:, None, :] - points_b[None, :, :], axis=2)
 
 
 class InterpolationMatrix:

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from ._linalg import DenseSystem
 from .errors import IllConditionedError
-from .geometry import KnotSet
+from .geometry import KnotSet, pairwise_distances
 
 #: Sparse solves must be backward stable to this level: residual relative to
 #: |A| |x| + |b|. An rhs-relative gate would spuriously refuse backward-stable
@@ -58,7 +58,7 @@ def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
         raise ValueError(f"neighbour count must satisfy 1 <= k <= {n}, got {k}")
 
     pts = knots.all_positions
-    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dists = pairwise_distances(pts, pts)
     keep = np.zeros((n, n), dtype=bool)
     for i in range(n):
         order = np.argsort(dists[i], kind="stable")   # stable sort: ties by index

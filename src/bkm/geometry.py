@@ -195,8 +195,13 @@ class KnotSet:
                 f"dirichlet={self.dirichlet_count}, n_interior={self.n_interior})")
 
 
+def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every row of points_a and of points_b."""
+    return np.linalg.norm(points_a[:, None, :] - points_b[None, :, :], axis=2)
+
+
 def _check_pairwise_distinct(points: np.ndarray):
-    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    d = pairwise_distances(points, points)
     np.fill_diagonal(d, np.inf)
     if d.min() <= COINCIDENT_TOL:
         i, j = np.unravel_index(np.argmin(d), d.shape)

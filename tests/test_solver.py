@@ -13,13 +13,14 @@ from oracles import fd_laplacian, interior_points
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
+ELL_WIDE = Ellipse(np.zeros(2), 10.0, 5.0)
 
 
-def helmholtz_problem():
+def helmholtz_problem(geometry=ELL1):
     """laplacian u + u = x with boundary data sin x + x (also the solution)."""
     return ProblemSpec(forcing=lambda p: p[:, 0],
                        dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
-                       rho=RhoZero(), geometry=ELL1,
+                       rho=RhoZero(), geometry=geometry,
                        exact=lambda p: np.sin(p[:, 0]) + p[:, 0])
 
 
@@ -314,11 +315,14 @@ def test_evaluate_matches_sum_of_components():
     np.testing.assert_allclose(total, v + up, atol=1e-12)
 
 
-def test_homogeneous_component_satisfies_helmholtz():
-    ks = ellipse_knots(ELL1, 7)
-    sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
+# the 10x5 ellipse puts evaluation radii up to 18.5; the 2x1 one stays below 4
+@pytest.mark.parametrize("ellipse,n,c", [(ELL1, 7, 3.0), (ELL_WIDE, 32, 4.0)],
+                         ids=["ellipse2x1-7knots", "ellipse10x5-32knots"])
+def test_homogeneous_component_satisfies_helmholtz(ellipse, n, c):
+    ks = ellipse_knots(ellipse, n)
+    sol = solve_linear(helmholtz_problem(ellipse), ks, mq_pair(c))
     v = lambda p: evaluate_homogeneous(sol, p)
     scale = max(1.0, np.sum(np.abs(sol.lam)))
-    for p in interior_points(ELL1, 25, seed=17):
+    for p in interior_points(ellipse, 25, seed=17):
         resid = fd_laplacian(v, p, h=1e-4) + v(p)
         assert abs(resid) <= 1e-6 * scale

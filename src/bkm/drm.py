@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import COND_LIMIT, FactoredMatrix
-from .errors import DegenerateGeometryError
-from .geometry import COINCIDENT_TOL, KnotSet, as_point
+from .geometry import (KnotSet, _check_pairwise_distinct, _normal_projections,
+                       as_point)
 from .geometry import pairwise_distances as _pairwise_distances
 from .kernels import KernelPair
 
@@ -57,9 +57,7 @@ def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> Interpolat
     """Assemble phi(||x_i - x_j||) over boundary-then-interior knots."""
     pts = knots.all_positions
     r = _pairwise_distances(pts, pts)
-    off = r + np.diag(np.full(len(pts), np.inf))
-    if off.min() <= COINCIDENT_TOL:
-        raise DegenerateGeometryError("coincident knots make the interpolation matrix singular")
+    _check_pairwise_distinct(r)   # coincident knots make the matrix singular
     return InterpolationMatrix(kernel.phi(r), knots)
 
 
@@ -116,15 +114,11 @@ def evaluate_particular(fit: DrmFit, x):
 
 def evaluate_particular_normal(fit: DrmFit, x, n):
     """Directional derivative of the particular solution along unit vector n."""
-    p = as_point(x)
-    direction = as_point(n)
+    p = as_point(x)[None, :]
     sources = fit.knots.all_positions
-    diff = p[None, :] - sources
-    r = np.linalg.norm(diff, axis=1)
-    proj = np.zeros_like(r)
-    ok = r > COINCIDENT_TOL
-    proj[ok] = (diff[ok] @ direction) / r[ok]
-    return float(fit.kernel.phi_hat_normal(r, proj) @ fit.alpha)
+    r = _pairwise_distances(p, sources)
+    proj = _normal_projections(p, as_point(n)[None, :], sources, r)
+    return float(fit.kernel.phi_hat_normal(r, proj)[0] @ fit.alpha)
 
 
 def apply_operator_coupling(fit_matrix: InterpolationMatrix, rho_applied_basis) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from ._linalg import DenseSystem
 from .errors import IllConditionedError
-from .geometry import KnotSet, pairwise_distances
+from .geometry import KnotSet
 
 #: Sparse solves must be backward stable to this level: residual relative to
 #: |A| |x| + |b|. An rhs-relative gate would spuriously refuse backward-stable
@@ -41,11 +41,16 @@ def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
                     symmetrize: bool = False) -> SparseSystem:
     """Keep, per row, only the entries of the k nearest knots (self included).
 
-    Distances are measured between the knots defining the row/column order;
-    ties break towards the lower knot index. Dropped entries are removed
-    outright, with no decay weighting, so kept entries are bit-identical to
-    the dense ones. ``symmetrize`` widens the pattern to its union with its
-    transpose.
+    Distances are those of :attr:`KnotSet.distances`; ties at the k-th
+    distance break towards the lower knot index, as a stable sort of each
+    row would. Dropped entries are removed outright, with no decay
+    weighting, so kept entries are bit-identical to the dense ones and every
+    row keeps exactly k of them, zeros included (nnz = N k).
+    ``symmetrize`` widens the pattern to its union with its transpose.
+
+    Cost: one O(N^2) partition of the distance matrix plus a short stable
+    sort for each row with a tie at its k-th distance; memory is the dense
+    matrix and one N x N boolean mask.
     """
     a = np.asarray(dense.matrix, dtype=float)
     n = a.shape[0]
@@ -57,18 +62,20 @@ def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"neighbour count must satisfy 1 <= k <= {n}, got {k}")
 
-    pts = knots.all_positions
-    dists = pairwise_distances(pts, pts)
-    keep = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.argsort(dists[i], kind="stable")   # stable sort: ties by index
-        keep[i, order[:k]] = True
+    dists = knots.distances
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    keep = dists <= kth
+    for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
+        # ties at the k-th distance: the candidates are in index order, so a
+        # stable sort of them keeps the lower indices
+        tied = np.flatnonzero(keep[i])
+        keep[i, tied[np.argsort(dists[i, tied], kind="stable")[k:]]] = False
     if symmetrize:
         keep |= keep.T
 
-    pattern = sp.csr_matrix(keep)
-    matrix = sp.csr_matrix((a[keep.nonzero()], pattern.indices, pattern.indptr),
-                           shape=(n, n))
+    rows, cols = np.nonzero(keep)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = sp.csr_matrix((a[rows, cols], cols, indptr), shape=(n, n))
     rhs = None if dense.rhs is None else np.asarray(dense.rhs, dtype=float)
     if rhs is None:
         rhs = np.zeros(n)

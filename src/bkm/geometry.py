@@ -123,14 +123,16 @@ class KnotSet:
             raise ValueError("dirichlet_count out of range")
 
         allp = np.vstack([bp, ip])
-        _check_pairwise_distinct(allp)
+        dists = pairwise_distances(allp, allp)
+        _check_pairwise_distinct(dists)
 
-        for arr in (bp, bn, ip, allp):
+        for arr in (bp, bn, ip, allp, dists):
             arr.setflags(write=False)
         self._boundary_positions = bp
         self._boundary_normals = bn
         self._interior = ip
         self._all = allp
+        self._distances = dists
         self._dirichlet_count = dc
 
     @property
@@ -149,6 +151,11 @@ class KnotSet:
     def all_positions(self) -> np.ndarray:
         """All knots, boundary first then interior, shape (N+L, d)."""
         return self._all
+
+    @property
+    def distances(self) -> np.ndarray:
+        """Read-only knot-to-knot distances over :attr:`all_positions`, (N+L, N+L)."""
+        return self._distances
 
     @property
     def dirichlet_count(self) -> int:
@@ -196,17 +203,42 @@ class KnotSet:
 
 
 def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every row of points_a and of points_b."""
-    return np.linalg.norm(points_a[:, None, :] - points_b[None, :, :], axis=2)
+    """Euclidean distances between every row of points_a and of points_b.
+
+    Squares are summed in place, one coordinate at a time: the order of
+    ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so bit-identical to it.
+    """
+    a, b = np.asarray(points_a), np.asarray(points_b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(out, out=out)
+    term = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=term)
+        np.square(term, out=term)
+        out += term
+    return np.sqrt(out, out=out)
 
 
-def _check_pairwise_distinct(points: np.ndarray):
-    d = pairwise_distances(points, points)
-    np.fill_diagonal(d, np.inf)
-    if d.min() <= COINCIDENT_TOL:
-        i, j = np.unravel_index(np.argmin(d), d.shape)
+def _normal_projections(points, normals, sources, r):
+    """dr/dn = ((x_i - s_j) . n_i) / r_ij, 0 where point and source coincide."""
+    diff = points[:, None, :] - sources[None, :, :]
+    proj = np.zeros_like(r)
+    ok = r > COINCIDENT_TOL
+    proj[ok] = np.einsum("ijk,ik->ij", diff, normals)[ok] / r[ok]
+    return proj
+
+
+def _check_pairwise_distinct(dists: np.ndarray):
+    # mask the self-distances in place, then restore their exact zeros
+    np.fill_diagonal(dists, np.inf)
+    i, j = np.unravel_index(np.argmin(dists), dists.shape)
+    nearest = dists[i, j]
+    np.fill_diagonal(dists, 0.0)
+    if nearest <= COINCIDENT_TOL:
         raise DegenerateGeometryError(
-            f"knots {i} and {j} coincide (distance {d[i, j]:.3e})")
+            f"knots {i} and {j} coincide (distance {nearest:.3e})")
 
 
 def ellipse_knots(e: Ellipse, n: int) -> KnotSet:

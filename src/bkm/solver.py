@@ -21,9 +21,8 @@ import numpy as np
 
 from ._linalg import FactoredMatrix, SolveRecord, solve_checked
 from .drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
-                  evaluate_particular_normal, _points_array,
-                  _pairwise_distances)
-from .geometry import COINCIDENT_TOL, Ellipse, KnotSet
+                  _points_array, _pairwise_distances)
+from .geometry import Ellipse, KnotSet, _normal_projections
 from .kernels import GeneralSolution, KernelPair, helmholtz_general_solution
 
 
@@ -109,45 +108,40 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray
     (appended after the boundary block) basis values again. Row order
     follows the knot ordering.
     """
+    nd, nb = knots.dirichlet_count, knots.n_boundary
     sources = knots.boundary_positions
-    responses = knots.all_positions
-    r = _pairwise_distances(responses, sources)
+    r = knots.distances[:, :nb]
     rows = gs.value(r)
-
-    nd = knots.dirichlet_count
-    nb = knots.n_boundary
     if nd < nb:
-        neu_idx = np.arange(nd, nb)
-        diff = responses[neu_idx][:, None, :] - sources[None, :, :]
-        rn = r[neu_idx]
-        proj = np.zeros_like(rn)
-        ok = rn > COINCIDENT_TOL
-        normals = knots.boundary_normals[neu_idx]
-        proj[ok] = np.einsum("ijk,ik->ij", diff, normals)[ok] / rn[ok]
-        rows[neu_idx] = gs.normal_derivative(rn, proj)
+        rn = r[nd:nb]
+        proj = _normal_projections(sources[nd:], knots.boundary_normals[nd:],
+                                   sources, rn)
+        rows[nd:nb] = gs.normal_derivative(rn, proj)
     return rows
 
 
 def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarray:
-    """Boundary data corrected by the particular solution, per knot type."""
-    nb = knots.n_boundary
-    nd = knots.dirichlet_count
+    """Boundary data corrected by the particular solution, per knot type.
+
+    ``fit`` must be the particular fit over ``knots``, whose distances it reuses.
+    """
+    nd, nb = knots.dirichlet_count, knots.n_boundary
     rhs = np.empty(nb)
     if nd > 0:
         if problem.dirichlet is None:
             raise ValueError("knots carry Dirichlet rows but no Dirichlet data was given")
+        up = fit.kernel.phi_hat(knots.distances[:nd]) @ fit.alpha
         pts = knots.boundary_positions[:nd]
-        up = evaluate_particular(fit, pts)
         rhs[:nd] = np.asarray(problem.dirichlet(pts), dtype=float) - up
     if nd < nb:
         if problem.neumann is None:
             raise ValueError("knots carry Neumann rows but no Neumann data was given")
         pts = knots.boundary_positions[nd:]
-        normals = knots.boundary_normals[nd:]
-        data = np.asarray(problem.neumann(pts), dtype=float)
-        up_n = np.array([evaluate_particular_normal(fit, p, n)
-                         for p, n in zip(pts, normals)])
-        rhs[nd:] = data - up_n
+        rn = knots.distances[nd:nb]
+        proj = _normal_projections(pts, knots.boundary_normals[nd:],
+                                   knots.all_positions, rn)
+        up_n = fit.kernel.phi_hat_normal(rn, proj) @ fit.alpha
+        rhs[nd:] = np.asarray(problem.neumann(pts), dtype=float) - up_n
     return rhs
 
 
@@ -203,10 +197,9 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair) -> Bk
         raise ValueError("Dirichlet data is required")
     images = np.asarray(problem.rho.basis_images(knots, kernel), dtype=float)
     matrix = build_interpolation_matrix(knots, kernel)
-    pts = knots.all_positions
     # u is quasi-interpolated in the particular-solution basis, so the
     # operator images pair with the phi_hat interpolation matrix
-    b_hat = kernel.phi_hat(_pairwise_distances(pts, pts))
+    b_hat = kernel.phi_hat(knots.distances)
     b_factored = FactoredMatrix(b_hat, label="u-interpolation")
     coupling = b_factored.solve(images.T).T
     d_boundary = np.asarray(problem.dirichlet(knots.boundary_positions), dtype=float)

@@ -19,6 +19,67 @@ def mq_system(n, c=1.0, seed=1):
     return ks, DenseSystem(matrix, rhs)
 
 
+def truncation_oracle(knots, k, symmetrize=False):
+    """Reference pattern: a stable argsort of each row's distances."""
+    pts = knots.all_positions
+    dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    keep = np.zeros(dists.shape, dtype=bool)
+    for i in range(len(pts)):
+        order = np.argsort(dists[i], kind="stable")   # stable sort: ties by index
+        keep[i, order[:k]] = True
+    if symmetrize:
+        keep |= keep.T
+    return keep
+
+
+def scattered_knots():
+    pos = np.random.default_rng(11).uniform([-2, -1], [2, 1], size=(16, 2))
+    return KnotSet(pos, np.tile([1.0, 0.0], (16, 1)))
+
+
+def octagon_knots():
+    # mirror-exact vertices: both neighbours of every vertex, and both
+    # second neighbours, lie at bit-identical distances
+    c = np.sqrt(0.5)
+    pos = np.array([[1, 0], [c, c], [0, 1], [-c, c],
+                    [-1, 0], [-c, -c], [0, -1], [c, -c]], dtype=float)
+    return KnotSet(pos, np.tile([1.0, 0.0], (8, 1)))
+
+
+def grid_knots():
+    g = np.arange(5.0)
+    pos = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    return KnotSet(pos, np.tile([1.0, 0.0], (25, 1)))
+
+
+@pytest.mark.parametrize("make_knots", [scattered_knots, octagon_knots, grid_knots])
+def test_truncation_matches_stable_argsort_oracle(make_knots):
+    ks = make_knots()
+    n = ks.size
+    rng = np.random.default_rng(n)
+    # a third of the entries are zero: kept zeros must stay explicit
+    matrix = np.where(rng.random((n, n)) < 1 / 3, 0.0, rng.standard_normal((n, n)))
+    dense = DenseSystem(matrix, np.ones(n))
+    ties = 0
+    for k in range(1, n + 1):
+        for symmetrize in (False, True):
+            sparse = truncate_system(dense, ks, k, symmetrize=symmetrize)
+            expected = truncation_oracle(ks, k, symmetrize)
+            coo = sparse.matrix.tocoo()
+            pattern = np.zeros((n, n), dtype=bool)
+            pattern[coo.row, coo.col] = True
+            np.testing.assert_array_equal(pattern, expected)
+            assert coo.nnz == expected.sum()
+            assert coo.data.tobytes() == matrix[coo.row, coo.col].tobytes()
+            if not symmetrize:
+                assert sparse.matrix.nnz == n * k
+                np.testing.assert_array_equal(np.diff(sparse.matrix.indptr), k)
+        kth = np.sort(ks.distances, axis=1)[:, k - 1:k]
+        ties += np.count_nonzero(np.count_nonzero(ks.distances <= kth, axis=1) > k)
+    if make_knots is not scattered_knots:
+        assert ties > n        # the tie rule is exercised, not just present
+
+
 def test_full_truncation_equals_dense_entries():
     ks, dense = mq_system(12)
     sparse = truncate_system(dense, ks, 12)

@@ -4,10 +4,24 @@ from hypothesis import given, strategies as st
 
 from bkm.errors import DegenerateGeometryError
 from bkm.geometry import (BoundaryKnot, Ellipse, KnotSet, ellipse_knots,
-                          normal_projection, radial_distance)
+                          normal_projection, pairwise_distances,
+                          radial_distance)
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
+
+#: Coordinates spread over magnitudes 1e-6 .. 1e8.
+mixed_coord = st.builds(lambda m, e: m * 10.0 ** e,
+                        st.floats(-1.0, 1.0, allow_nan=False), st.integers(-6, 8))
+
+
+@st.composite
+def point_set_pairs(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(st.lists(mixed_coord, min_size=m * dim, max_size=m * dim))
+    b = draw(st.lists(mixed_coord, min_size=n * dim, max_size=n * dim))
+    return np.reshape(a, (m, dim)), np.reshape(b, (n, dim))
 
 
 def test_ellipse_knots_axis_aligned():
@@ -125,6 +139,37 @@ def test_knotset_ordering_and_partition():
     mixed = ks.with_dirichlet_count(4)
     assert mixed.dirichlet_count == 4
     assert mixed.neumann_count == 2
+
+
+@given(point_set_pairs())
+def test_pairwise_distances_bit_identical_to_norm(pair):
+    a, b = pair
+    expected = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    got = pairwise_distances(a, b)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_pairwise_distances_dimension_mismatch():
+    with pytest.raises(ValueError):
+        pairwise_distances(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def test_knotset_distances_read_only_and_exact():
+    base = ellipse_knots(Ellipse(np.array([0.5, -1.0]), 3.0, 1.5), 9)
+    variants = [base, base.with_interior(np.array([[0.1, -0.9], [1.2, -1.3]])),
+                base.with_dirichlet_count(4),
+                base.with_interior(np.array([[0.4, -0.6]])).with_dirichlet_count(2)]
+    for ks in variants:
+        d = ks.distances
+        assert d.shape == (ks.size, ks.size)
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 1] = 0.0
+        diag = np.diag(d)
+        assert np.all(diag == 0.0) and not np.any(np.signbit(diag))
+        full = pairwise_distances(ks.all_positions, ks.all_positions)
+        assert d.tobytes() == full.tobytes()
 
 
 def test_knotset_immutable_arrays():

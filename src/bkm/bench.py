@@ -15,15 +15,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import DenseSystem, SolveRecord
-from .drm import DrmFit, build_interpolation_matrix
+from ._linalg import SolveRecord
 from .errors import BkmError
-from .frm import solve_sparse, truncate_system
+# not used here: test_tracer_replaces_by_name_imports_and_restores_them
+# (perfbench/tests) checks that the tracer replaces this by-name import
+from .frm import truncate_system  # noqa: F401
 from .geometry import Ellipse, ellipse_knots
-from .kernels import helmholtz_general_solution, mq_pair
-from .solver import (BkmSolution, ProblemSpec, RhoBoundaryNonlinear, RhoZero,
-                     assemble_homogeneous_rows, evaluate, solve_linear,
-                     solve_nonlinear_boundary_only, _boundary_rhs)
+from .kernels import mq_pair
+from .solver import (ProblemSpec, RhoBoundaryNonlinear, RhoZero, evaluate,
+                     solve_linear, solve_nonlinear_boundary_only)
 
 #: Exact values smaller than this are treated as zero for relative errors.
 _REL_FLOOR = 1e-12
@@ -167,32 +167,6 @@ def _empty_report(case, n_knots, c, frm_k, error=None, diagnostics=()):
                        diagnostics=tuple(diagnostics), error=error)
 
 
-def _solve_truncated(case, knots, kernel, frm_k) -> BkmSolution:
-    """Run both solve stages through k-nearest-neighbour truncated systems."""
-    problem = case.problem
-    pts = knots.boundary_positions
-    f = np.asarray(problem.forcing(knots.all_positions), dtype=float)
-    if isinstance(problem.rho, RhoBoundaryNonlinear):
-        u_b = np.asarray(problem.dirichlet(pts), dtype=float)
-        rhs_drm = f + np.asarray(problem.rho.apply(u_b, pts), dtype=float)
-    elif isinstance(problem.rho, RhoZero):
-        rhs_drm = f
-    else:
-        raise ValueError("truncated runs support the zero and boundary-"
-                         "nonlinear remaining operators only")
-
-    matrix = build_interpolation_matrix(knots, kernel)
-    alpha = solve_sparse(truncate_system(
-        DenseSystem(matrix.entries, rhs_drm), knots, frm_k))
-    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
-
-    gs = helmholtz_general_solution(problem.dimension)
-    h = assemble_homogeneous_rows(knots, gs)[:knots.n_boundary]
-    rhs_h = _boundary_rhs(problem, knots, fit)
-    lam = solve_sparse(truncate_system(DenseSystem(h, rhs_h), knots, frm_k))
-    return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots)
-
-
 def run_case(case: BenchmarkCase, n_knots: int, c: float,
              frm_k: Optional[int] = None) -> ErrorReport:
     """Place knots, solve, evaluate at the case's reference points.
@@ -205,13 +179,11 @@ def run_case(case: BenchmarkCase, n_knots: int, c: float,
         raise ValueError("n_knots must be at least 1")
     knots = ellipse_knots(case.problem.geometry, n_knots)
     kernel = mq_pair(c)
+    solve = (solve_nonlinear_boundary_only
+             if isinstance(case.problem.rho, RhoBoundaryNonlinear)
+             else solve_linear)
     try:
-        if frm_k is not None:
-            solution = _solve_truncated(case, knots, kernel, int(frm_k))
-        elif isinstance(case.problem.rho, RhoBoundaryNonlinear):
-            solution = solve_nonlinear_boundary_only(case.problem, knots, kernel)
-        else:
-            solution = solve_linear(case.problem, knots, kernel)
+        solution = solve(case.problem, knots, kernel, frm_k=frm_k)
     except (BkmError, np.linalg.LinAlgError) as exc:
         return _empty_report(case, n_knots, c, frm_k, error=str(exc))
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import COND_LIMIT, FactoredMatrix
-from .geometry import (KnotSet, _check_pairwise_distinct, _normal_projections,
-                       as_point)
-from .geometry import pairwise_distances as _pairwise_distances
+from .geometry import KnotSet, _normal_projections, as_point, pairwise_distances
 from .kernels import KernelPair
 
 
@@ -54,11 +52,12 @@ class InterpolationMatrix:
 
 
 def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> InterpolationMatrix:
-    """Assemble phi(||x_i - x_j||) over boundary-then-interior knots."""
-    pts = knots.all_positions
-    r = _pairwise_distances(pts, pts)
-    _check_pairwise_distinct(r)   # coincident knots make the matrix singular
-    return InterpolationMatrix(kernel.phi(r), knots)
+    """Assemble phi(||x_i - x_j||) over boundary-then-interior knots.
+
+    Uses :attr:`KnotSet.distances`; the knot set's constructor has already
+    refused coincident knots, which would make the matrix singular.
+    """
+    return InterpolationMatrix(kernel.phi(knots.distances), knots)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def evaluate_particular(fit: DrmFit, x):
     Accepts a single point or an (m, d) array of points.
     """
     pts, scalar = _points_array(x, fit.knots.dimension)
-    r = _pairwise_distances(pts, fit.knots.all_positions)
+    r = pairwise_distances(pts, fit.knots.all_positions)
     values = fit.kernel.phi_hat(r) @ fit.alpha
     return float(values[0]) if scalar else values
 
@@ -116,7 +115,7 @@ def evaluate_particular_normal(fit: DrmFit, x, n):
     """Directional derivative of the particular solution along unit vector n."""
     p = as_point(x)[None, :]
     sources = fit.knots.all_positions
-    r = _pairwise_distances(p, sources)
+    r = pairwise_distances(p, sources)
     proj = _normal_projections(p, as_point(n)[None, :], sources, r)
     return float(fit.kernel.phi_hat_normal(r, proj)[0] @ fit.alpha)
 

@@ -9,8 +9,11 @@ factorisation), enforcing the particular-solution-corrected boundary data.
 Nonlinear equations whose nonlinearity can be evaluated from Dirichlet data
 alone collapse to the same two linear solves: with boundary knots only, the
 unknown never appears inside the remaining operator, so no iteration is
-needed. Each solution records one :class:`SolveRecord` per factorisation,
-which is how tests assert the single-solve property.
+needed. Each solution records one :class:`SolveRecord` per dense
+factorisation, which is how tests assert the single-solve property.
+
+The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
+systems are truncated to k nearest neighbours and solved by sparse LU.
 """
 from __future__ import annotations
 
@@ -19,10 +22,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._linalg import FactoredMatrix, SolveRecord, solve_checked
-from .drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
-                  _points_array, _pairwise_distances)
-from .geometry import Ellipse, KnotSet, _normal_projections
+from ._linalg import DenseSystem, FactoredMatrix, SolveRecord, solve_checked
+from .drm import DrmFit, build_interpolation_matrix, _points_array
+from .frm import solve_sparse, truncate_system
+from .geometry import Ellipse, KnotSet, _normal_projections, pairwise_distances
 from .kernels import GeneralSolution, KernelPair, helmholtz_general_solution
 
 
@@ -145,26 +148,49 @@ def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarr
     return rhs
 
 
-def _finish_two_step(problem, knots, kernel, rhs_drm, gs):
+def _drm_rhs(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
+    """What the particular fit interpolates: the forcing at every knot, plus
+    a boundary-nonlinear rest evaluated on the Dirichlet data."""
+    rhs = np.asarray(problem.forcing(knots.all_positions), dtype=float)
+    if rhs.shape != (knots.size,):
+        raise ValueError("forcing must return one value per knot")
+    if isinstance(problem.rho, RhoBoundaryNonlinear):
+        pts = knots.boundary_positions
+        u_b = np.asarray(problem.dirichlet(pts), dtype=float)
+        rhs = rhs + np.asarray(problem.rho.apply(u_b, pts), dtype=float)
+    return rhs
+
+
+def _solve_stage(matrix, rhs, knots, frm_k, label):
+    """Dense checked LU, or with ``frm_k`` the sparse LU of the system
+    truncated to each row's k nearest knots, which records nothing."""
+    if frm_k is None:
+        return solve_checked(matrix, rhs, label=label)
+    return solve_sparse(truncate_system(DenseSystem(matrix, rhs), knots, frm_k)), None
+
+
+def _finish_two_step(problem, knots, kernel, rhs_drm, gs, frm_k=None):
     """Shared tail: particular fit, homogeneous solve, interior evaluation."""
     matrix = build_interpolation_matrix(knots, kernel)
-    alpha = matrix.solve(np.asarray(rhs_drm, dtype=float))
-    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots, condition=matrix.condition)
-    records = [matrix.factor().record()]
+    alpha, fit_rec = _solve_stage(matrix.entries, rhs_drm, knots, frm_k,
+                                  "particular-fit")
+    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
+                 condition=None if fit_rec is None else fit_rec.condition)
 
     h = assemble_homogeneous_rows(knots, gs)[:knots.n_boundary]
     rhs_h = _boundary_rhs(problem, knots, fit)
-    lam, rec = solve_checked(h, rhs_h, label="collocation")
-    records.append(rec)
+    lam, rec = _solve_stage(h, rhs_h, knots, frm_k, "collocation")
 
+    records = tuple(r for r in (fit_rec, rec) if r is not None)
     solution = BkmSolution(lam=lam, drm_fit=fit, general_solution=gs,
-                           knots=knots, diagnostics=tuple(records))
+                           knots=knots, diagnostics=records)
     if knots.n_interior > 0:
         solution.interior_u = evaluate(solution, knots.interior)
     return solution
 
 
-def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair) -> BkmSolution:
+def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
+                 frm_k: Optional[int] = None) -> BkmSolution:
     """Solve a linear problem: Helmholtz left side plus optional linear rest.
 
     With no remaining operator the scheme is the plain two-step solve, and
@@ -172,21 +198,23 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair) -> Bk
     linear remaining operator couples nodal u-values into the right-hand
     side: with interior knots this produces one combined (N+L)-unknown
     system; boundary u-values must then be Dirichlet data.
-    """
-    if knots.n_boundary < 1:
-        raise ValueError("at least one boundary knot is required")
-    gs = helmholtz_general_solution(problem.dimension)
-    all_pts = knots.all_positions
-    f = np.asarray(problem.forcing(all_pts), dtype=float)
-    if f.shape != (knots.size,):
-        raise ValueError("forcing must return one value per knot")
 
+    ``frm_k`` truncates both systems to each row's k nearest knots and solves
+    them by sparse LU, recording no diagnostics; it needs boundary knots only
+    and no linear rest.
+    """
     if isinstance(problem.rho, RhoBoundaryNonlinear):
         raise ValueError("nonlinear remaining operators take the "
                          "solve_nonlinear_boundary_only path")
+    if frm_k is not None and isinstance(problem.rho, RhoLinear):
+        raise ValueError("truncated (frm_k) solves do not support RhoLinear")
+    if frm_k is not None and knots.n_interior > 0:
+        raise ValueError("truncated (frm_k) solves need boundary knots only")
+    gs = helmholtz_general_solution(problem.dimension)
+    f = _drm_rhs(problem, knots)
 
     if isinstance(problem.rho, RhoZero):
-        return _finish_two_step(problem, knots, kernel, f, gs)
+        return _finish_two_step(problem, knots, kernel, f, gs, frm_k)
 
     # linear remaining operator: nodal u-values feed back into the fit
     if knots.dirichlet_count != knots.n_boundary:
@@ -196,7 +224,6 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair) -> Bk
     if problem.dirichlet is None:
         raise ValueError("Dirichlet data is required")
     images = np.asarray(problem.rho.basis_images(knots, kernel), dtype=float)
-    matrix = build_interpolation_matrix(knots, kernel)
     # u is quasi-interpolated in the particular-solution basis, so the
     # operator images pair with the phi_hat interpolation matrix
     b_hat = kernel.phi_hat(knots.distances)
@@ -211,14 +238,14 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair) -> Bk
                                 solution.diagnostics[1])
         return solution
 
-    return _solve_coupled(problem, knots, kernel, gs, f, matrix, b_factored,
-                          b_hat, coupling, d_boundary)
+    return _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling,
+                          d_boundary)
 
 
-def _solve_coupled(problem, knots, kernel, gs, f, matrix, b_factored, b_hat,
-                   coupling, d_boundary):
+def _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling, d_boundary):
     """Combined solve for [lambda; interior u] under a linear remaining operator."""
     nb, ni = knots.n_boundary, knots.n_interior
+    matrix = build_interpolation_matrix(knots, kernel)
     # particular-solution values at knots as a linear map of the fitted rhs
     lift = matrix.solve(b_hat).T          # phi_hat-matrix times A^{-1}
     records = [matrix.factor().record(), b_factored.record()]
@@ -246,16 +273,16 @@ def _solve_coupled(problem, knots, kernel, gs, f, matrix, b_factored, b_hat,
 
 
 def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
-                                  kernel: KernelPair) -> BkmSolution:
+                                  kernel: KernelPair,
+                                  frm_k: Optional[int] = None) -> BkmSolution:
     """Single linear solve of a nonlinear equation with linear boundary data.
 
     Requires boundary knots only and Dirichlet data everywhere: the
     remaining operator is evaluated by substituting the known boundary
     values, so the pipeline stays identical to the linear case and performs
     exactly one factorisation pair (particular fit plus collocation).
+    ``frm_k`` truncates both systems as in :func:`solve_linear`.
     """
-    if knots.n_boundary < 1:
-        raise ValueError("at least one boundary knot is required")
     if knots.n_interior > 0:
         raise ValueError("the linear formulation of nonlinear problems holds "
                          "for boundary knots only; u at interior knots would "
@@ -267,25 +294,23 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
         raise ValueError("problem.rho must be RhoBoundaryNonlinear for this path")
 
     gs = helmholtz_general_solution(problem.dimension)
-    pts = knots.boundary_positions
-    u_b = np.asarray(problem.dirichlet(pts), dtype=float)
-    rhs_drm = np.asarray(problem.forcing(pts), dtype=float) + \
-        np.asarray(problem.rho.apply(u_b, pts), dtype=float)
-    return _finish_two_step(problem, knots, kernel, rhs_drm, gs)
+    return _finish_two_step(problem, knots, kernel, _drm_rhs(problem, knots),
+                            gs, frm_k)
 
 
 def evaluate(solution: BkmSolution, x):
     """Field value u = v + u_p at a point or an (m, d) array of points."""
-    pts, scalar = _points_array(x, solution.knots.dimension)
-    r = _pairwise_distances(pts, solution.knots.boundary_positions)
-    v = solution.general_solution.value(r) @ solution.lam
-    u = v + evaluate_particular(solution.drm_fit, pts)
+    knots, fit = solution.knots, solution.drm_fit
+    pts, scalar = _points_array(x, knots.dimension)
+    r = pairwise_distances(pts, knots.all_positions)
+    v = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam
+    u = v + fit.kernel.phi_hat(r) @ fit.alpha
     return float(u[0]) if scalar else u
 
 
 def evaluate_homogeneous(solution: BkmSolution, x):
     """The general-solution component v alone (diagnostics and testing)."""
     pts, scalar = _points_array(x, solution.knots.dimension)
-    r = _pairwise_distances(pts, solution.knots.boundary_positions)
+    r = pairwise_distances(pts, solution.knots.boundary_positions)
     v = solution.general_solution.value(r) @ solution.lam
     return float(v[0]) if scalar else v

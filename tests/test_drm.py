@@ -4,7 +4,7 @@ import pytest
 from bkm.drm import (apply_operator_coupling, build_interpolation_matrix,
                      evaluate_particular, evaluate_particular_normal,
                      fit_particular)
-from bkm.errors import DegenerateGeometryError, IllConditionedError
+from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
 from bkm.kernels import mq_pair
 from oracles import fd_directional, fd_laplacian, interior_points
@@ -98,18 +98,6 @@ def test_fit_refuses_numerically_singular_matrix():
     with pytest.raises(IllConditionedError) as err:
         fit_particular(ks, mq_pair(3.0), np.zeros(50))
     assert err.value.condition > 1e14
-
-
-def test_coincident_knots_raise_degenerate_geometry():
-    ks = ellipse_knots(ELL, 4)
-    bad = KnotSet.__new__(KnotSet)   # bypass the KnotSet guard to hit drm's own
-    for attr, val in vars(ks).items():
-        object.__setattr__(bad, attr, val)
-    dup = np.vstack([ks.all_positions, ks.all_positions[:1]])
-    object.__setattr__(bad, "_interior", ks.all_positions[:1])
-    object.__setattr__(bad, "_all", dup)
-    with pytest.raises(DegenerateGeometryError):
-        build_interpolation_matrix(bad, mq_pair(3.0))
 
 
 def test_evaluate_particular_zero_alpha():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bkm.drm import _pairwise_distances, evaluate_particular
+from bkm.drm import evaluate_particular
 from bkm.errors import IllConditionedError
-from bkm.geometry import Ellipse, ellipse_knots
+from bkm.geometry import Ellipse, ellipse_knots, pairwise_distances
 from bkm.kernels import bessel_j0, bessel_j1, helmholtz_general_solution, mq_pair
 from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
@@ -208,7 +208,7 @@ def test_solver_propagates_ill_conditioning():
 def _phi_hat_images(knots, kernel):
     # remaining operator = identity on u: images are the basis itself
     pts = knots.all_positions
-    return kernel.phi_hat(_pairwise_distances(pts, pts))
+    return kernel.phi_hat(pairwise_distances(pts, pts))
 
 
 def test_coupled_linear_identity_operator_recovers_poisson():
@@ -302,6 +302,61 @@ def test_nonlinear_rejects_interior_knots_and_neumann():
 
 
 # ---------------------------------------------------------------------------
+# Truncated (FRM) solves
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("solve,problem,n,c", [
+    (solve_linear, helmholtz_problem(), 7, 3.0),
+    (solve_nonlinear_boundary_only, nonlinear_problem(), 9, 18.0)],
+    ids=["table1-7knots", "table2-9knots"])
+def test_truncation_to_every_knot_equals_dense(solve, problem, n, c):
+    ks = ellipse_knots(problem.geometry, n)
+    dense = solve(problem, ks, mq_pair(c))
+    full = solve(problem, ks, mq_pair(c), frm_k=n)
+    # k = N keeps every entry, so the two differ only by their LU round-off:
+    # each backward-stable solve is within cond * n * eps of the exact one
+    cond_fit, cond_coll = (rec.condition for rec in dense.diagnostics)
+    gamma = n * np.finfo(float).eps
+    alpha = dense.drm_fit.alpha
+    assert np.max(np.abs(full.drm_fit.alpha - alpha)) <= \
+        2 * cond_fit * gamma * np.max(np.abs(alpha))
+    pts = np.vstack([ks.boundary_positions,
+                     interior_points(problem.geometry, 20, seed=4)])
+    u = evaluate(dense, pts)
+    assert np.max(np.abs(evaluate(full, pts) - u)) <= \
+        2 * (cond_fit + cond_coll) * gamma * np.max(np.abs(u))
+
+
+def _never(*args):
+    raise AssertionError("called before the frm_k check")
+
+
+def test_truncation_rejects_linear_rest_before_assembly():
+    problem = ProblemSpec(forcing=_never, dirichlet=_never,
+                          rho=RhoLinear(_never), geometry=ELL1)
+    with pytest.raises(ValueError, match="frm_k"):
+        solve_linear(problem, ellipse_knots(ELL1, 8), mq_pair(3.0), frm_k=4)
+
+
+def test_truncation_rejects_interior_knots_before_assembly():
+    problem = ProblemSpec(forcing=_never, dirichlet=_never, geometry=ELL1)
+    ks = ellipse_knots(ELL1, 7).with_interior([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="frm_k"):
+        solve_linear(problem, ks, mq_pair(3.0), frm_k=4)
+
+
+@pytest.mark.parametrize("solve,problem,n,c", [
+    (solve_linear, helmholtz_problem(), 12, 3.0),
+    (solve_nonlinear_boundary_only, nonlinear_problem(), 12, 18.0)],
+    ids=["linear", "nonlinear"])
+def test_truncated_solution_records_no_diagnostics(solve, problem, n, c):
+    sol = solve(problem, ellipse_knots(problem.geometry, n), mq_pair(c), frm_k=5)
+    assert sol.diagnostics == ()
+    assert sol.drm_fit.condition is None
+    assert np.all(np.isfinite(sol.lam))
+
+
+# ---------------------------------------------------------------------------
 # Field evaluation
 # ---------------------------------------------------------------------------
 
@@ -312,7 +367,7 @@ def test_evaluate_matches_sum_of_components():
     total = evaluate(sol, pts)
     v = evaluate_homogeneous(sol, pts)
     up = evaluate_particular(sol.drm_fit, pts)
-    np.testing.assert_allclose(total, v + up, atol=1e-12)
+    np.testing.assert_array_equal(total, v + up)
 
 
 # the 10x5 ellipse puts evaluation radii up to 18.5; the 2x1 one stays below 4

@@ -8,17 +8,16 @@ interpolant error against the full system shrinks as the support grows.
 """
 import numpy as np
 
-from bkm import (DenseSystem, Ellipse, build_interpolation_matrix,
-                 ellipse_knots, mq_pair, solve_sparse, truncate_system)
+from bkm import (Ellipse, build_interpolation_matrix, ellipse_knots, mq_pair,
+                 solve_sparse, truncate_system)
 
 ellipse = Ellipse(np.zeros(2), 2.0, 1.0)
 knots = ellipse_knots(ellipse, 50)
 pair = mq_pair(1.0)
-matrix = build_interpolation_matrix(knots, pair).entries
+matrix = build_interpolation_matrix(knots, pair)
 
 bp = knots.boundary_positions
 values = np.sin(bp[:, 0]) + bp[:, 0] * bp[:, 1]
-dense = DenseSystem(matrix, values)
 
 rng = np.random.default_rng(0)
 grid = []
@@ -29,13 +28,13 @@ while len(grid) < 60:
 grid = np.array(grid)
 basis = pair.phi(np.linalg.norm(grid[:, None, :] - bp[None, :, :], axis=2))
 
-full = solve_sparse(truncate_system(dense, knots, 50))
+full = solve_sparse(truncate_system(matrix, values, knots, 50))
 reference = basis @ full
 
 print("interpolating sin x + x y on 50 boundary knots, multiquadric c = 1")
 print(f"{'k':>4} {'nonzeros':>9} {'fill':>7} {'field error vs full':>20}")
 for k in (5, 10, 25, 50):
-    system = truncate_system(dense, knots, k)
+    system = truncate_system(matrix, values, knots, k)
     x = solve_sparse(system)
     err = np.max(np.abs(basis @ x - reference))
     nnz = system.matrix.nnz
@@ -45,7 +44,7 @@ print()
 print("k = 50 keeps every entry, so the sparse solve reproduces the dense")
 print("solution; smaller supports trade accuracy for a banded system.")
 
-sym = truncate_system(dense, knots, 5, symmetrize=True)
+sym = truncate_system(matrix, values, knots, 5, symmetrize=True)
 pattern = (sym.matrix.toarray() != 0)
 print(f"symmetrised pattern at k = 5: {sym.matrix.nnz} nonzeros, "
       f"symmetric = {np.array_equal(pattern, pattern.T)}")

@@ -6,13 +6,13 @@ dual-reciprocity particular solutions built on multiquadric kernels. No
 mesh, no integration, no fictitious boundary; with boundary knots only,
 certain nonlinear equations reduce to a single linear solve.
 """
-from ._linalg import COND_LIMIT, DenseSystem, SolveRecord
+from ._linalg import COND_LIMIT, SolveRecord
 from .bench import (BenchmarkCase, ErrorReport, convergence_sweep, named_case,
                     report_csv_lines, report_table_lines, run_case,
                     table1_case, table2_case)
-from .drm import (DrmFit, InterpolationMatrix, apply_operator_coupling,
-                  build_interpolation_matrix, evaluate_particular,
-                  evaluate_particular_normal, fit_particular)
+from .drm import (DrmFit, apply_operator_coupling, build_interpolation_matrix,
+                  evaluate_particular, evaluate_particular_normal,
+                  fit_particular)
 from .errors import BkmError, DegenerateGeometryError, IllConditionedError
 from .frm import SparseSystem, solve_sparse, truncate_system
 from .geometry import (BoundaryKnot, Ellipse, KnotSet, ellipse_knots,
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkCase", "BkmError", "BkmSolution", "BoundaryKnot", "COND_LIMIT",
-    "ConstrainedFit", "DegenerateGeometryError", "DenseSystem", "DrmFit",
+    "ConstrainedFit", "DegenerateGeometryError", "DrmFit",
     "Ellipse", "ErrorReport", "GeneralSolution", "GsrKernel",
-    "IllConditionedError", "InterpolationMatrix", "KernelPair", "KnotSet",
+    "IllConditionedError", "KernelPair", "KnotSet",
     "ProblemSpec", "RhoBoundaryNonlinear", "RhoLinear", "RhoZero",
     "SolveRecord", "SparseSystem", "apply_operator_coupling",
     "assemble_homogeneous_rows", "bessel_j0", "bessel_j1",

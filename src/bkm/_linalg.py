@@ -32,18 +32,10 @@ class SolveRecord:
     condition: float
 
 
-@dataclass
-class DenseSystem:
-    """An assembled dense collocation system A x = b."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray | None = None
-
-
 class FactoredMatrix:
     """LU factorisation with partial pivoting plus a 1-norm condition estimate."""
 
-    def __init__(self, matrix, label="system", cond_limit=COND_LIMIT):
+    def __init__(self, matrix, label="system"):
         a = np.ascontiguousarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -58,7 +50,7 @@ class FactoredMatrix:
         if info != 0:
             raise np.linalg.LinAlgError(f"condition estimation failed (info={info})")
         self.condition = float(1.0 / rcond) if rcond > 0 else np.inf
-        if not np.isfinite(self.condition) or self.condition > cond_limit:
+        if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
             raise IllConditionedError(
                 f"{label} of size {a.shape[0]} is numerically rank-deficient",
                 self.condition)
@@ -70,19 +62,17 @@ class FactoredMatrix:
     def record(self) -> SolveRecord:
         return SolveRecord(label=self.label, size=self.size, condition=self.condition)
 
-    def solve(self, rhs, refine=True):
+    def solve(self, rhs):
         """Solve A x = rhs for one right-hand side or a matrix of them."""
         b = np.asarray(rhs, dtype=float)
         x = sla.lu_solve((self._lu, self._piv), b)
-        if refine:
-            # one refinement step; residual accumulated in extended precision
-            a_ld = self.matrix.astype(_LD)
-            resid = (b.astype(_LD) - a_ld @ x.astype(_LD)).astype(float)
-            x = x + sla.lu_solve((self._lu, self._piv), resid)
-        return x
+        # one refinement step; residual accumulated in extended precision
+        a_ld = self.matrix.astype(_LD)
+        resid = (b.astype(_LD) - a_ld @ x.astype(_LD)).astype(float)
+        return x + sla.lu_solve((self._lu, self._piv), resid)
 
 
-def solve_checked(matrix, rhs, label="system", cond_limit=COND_LIMIT):
+def solve_checked(matrix, rhs, label="system"):
     """Factor, solve and return (solution, SolveRecord)."""
-    f = FactoredMatrix(matrix, label=label, cond_limit=cond_limit)
+    f = FactoredMatrix(matrix, label=label)
     return f.solve(rhs), f.record()

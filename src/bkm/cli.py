@@ -155,7 +155,7 @@ def _run_sweep(config: RunConfig) -> tuple[int, list[str]]:
 
 def parse_problem_file(path: str) -> dict:
     """Flat key-value problem description; see the README for the grammar."""
-    parsed = {"dimension": 2, "knots": None, "c": None, "ellipse": None,
+    parsed = {"knots": None, "c": None, "ellipse": None,
               "forcing": None, "dirichlet": None, "eval": []}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -166,7 +166,9 @@ def parse_problem_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "dimension":
-                parsed["dimension"] = int(value)
+                if int(value) != 2:
+                    raise ValueError(f"{path}:{lineno}: dimension must be 2: "
+                                     f"the domain is an ellipse, got {value}")
             elif key == "ellipse":
                 parts = [float(v) for v in value.split()]
                 if len(parts) != 4:
@@ -202,8 +204,7 @@ def _run_solve(config: RunConfig) -> tuple[int, list[str]]:
     if parsed["c"] <= 0:
         raise ValueError("c must be positive")
     problem = ProblemSpec(forcing=parsed["forcing"], dirichlet=parsed["dirichlet"],
-                          rho=RhoZero(), geometry=parsed["ellipse"],
-                          dimension=parsed["dimension"])
+                          rho=RhoZero(), geometry=parsed["ellipse"])
     knots = ellipse_knots(parsed["ellipse"], parsed["knots"])
     solution = solve_linear(problem, knots, mq_pair(parsed["c"]))
     for rec in solution.diagnostics:

@@ -11,53 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import COND_LIMIT, FactoredMatrix
+from ._linalg import FactoredMatrix, solve_checked
 from .geometry import KnotSet, _normal_projections, as_point, pairwise_distances
 from .kernels import KernelPair
 
 
-class InterpolationMatrix:
-    """Dense symmetric collocation matrix phi(r_ij) over all knots.
-
-    Rows and columns follow the knot ordering (boundary first, then
-    interior). The LU factorisation is computed lazily on first solve and
-    cached; ``condition`` holds the 1-norm estimate once factored.
-    """
-
-    def __init__(self, entries: np.ndarray, knots: KnotSet):
-        self.entries = entries
-        self.knots = knots
-        self._factored: FactoredMatrix | None = None
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def is_factored(self) -> bool:
-        return self._factored is not None
-
-    @property
-    def condition(self) -> float | None:
-        return self._factored.condition if self._factored else None
-
-    def factor(self, cond_limit=COND_LIMIT) -> FactoredMatrix:
-        if self._factored is None:
-            self._factored = FactoredMatrix(
-                self.entries, label="particular-fit", cond_limit=cond_limit)
-        return self._factored
-
-    def solve(self, rhs):
-        return self.factor().solve(rhs)
-
-
-def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> InterpolationMatrix:
-    """Assemble phi(||x_i - x_j||) over boundary-then-interior knots.
+def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> np.ndarray:
+    """Dense symmetric phi(||x_i - x_j||) over boundary-then-interior knots.
 
     Uses :attr:`KnotSet.distances`; the knot set's constructor has already
     refused coincident knots, which would make the matrix singular.
     """
-    return InterpolationMatrix(kernel.phi(knots.distances), knots)
+    return kernel.phi(knots.distances, dimension=knots.dimension)
 
 
 @dataclass(frozen=True)
@@ -81,14 +46,14 @@ def fit_particular(knots: KnotSet, kernel: KernelPair, rhs_values) -> DrmFit:
     remaining-operator contribution) at the N+L knots, already evaluated by
     the caller. Raises :class:`IllConditionedError` past condition 1e14.
     """
-    matrix = build_interpolation_matrix(knots, kernel)
     rhs = np.asarray(rhs_values, dtype=float)
-    if rhs.shape != (matrix.size,):
+    if rhs.shape != (knots.size,):
         raise ValueError(
-            f"rhs_values must have length {matrix.size}, got shape {rhs.shape}")
-    alpha = matrix.solve(rhs)
+            f"rhs_values must have length {knots.size}, got shape {rhs.shape}")
+    alpha, rec = solve_checked(build_interpolation_matrix(knots, kernel), rhs,
+                               label="particular-fit")
     return DrmFit(alpha=alpha, kernel=kernel, knots=knots,
-                  condition=matrix.condition)
+                  condition=rec.condition)
 
 
 def _points_array(x, dimension):
@@ -120,17 +85,17 @@ def evaluate_particular_normal(fit: DrmFit, x, n):
     return float(fit.kernel.phi_hat_normal(r, proj)[0] @ fit.alpha)
 
 
-def apply_operator_coupling(fit_matrix: InterpolationMatrix, rho_applied_basis) -> np.ndarray:
+def apply_operator_coupling(fit_matrix: FactoredMatrix, rho_applied_basis) -> np.ndarray:
     """Matrix sending nodal u-values to their remaining-operator contribution.
 
     Given R[i, j] = (remaining operator applied to the particular-solution
     basis centred at knot j, evaluated at knot i), returns R A^{-1} where A
-    is the interpolation matrix. Feeding R = A reproduces the identity.
+    is the factored symmetric matrix. Feeding R = A reproduces the identity.
     """
     r = np.asarray(rho_applied_basis, dtype=float)
-    if r.shape != fit_matrix.entries.shape:
+    if r.shape != fit_matrix.matrix.shape:
         raise ValueError(
             f"rho_applied_basis must match the interpolation matrix shape "
-            f"{fit_matrix.entries.shape}, got {r.shape}")
+            f"{fit_matrix.matrix.shape}, got {r.shape}")
     # A is symmetric, so R A^{-1} = (A^{-1} R^T)^T
     return fit_matrix.solve(r.T).T

@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._linalg import DenseSystem
 from .errors import IllConditionedError
 from .geometry import KnotSet
 
@@ -37,9 +36,10 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
+def truncate_system(matrix, rhs, knots: KnotSet, k: int,
                     symmetrize: bool = False) -> SparseSystem:
-    """Keep, per row, only the entries of the k nearest knots (self included).
+    """Keep, per row of ``matrix``, only the entries of the k nearest knots
+    (self included); ``rhs`` is carried over unchanged.
 
     Distances are those of :attr:`KnotSet.distances`; ties at the k-th
     distance break towards the lower knot index, as a stable sort of each
@@ -52,7 +52,7 @@ def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
     sort for each row with a tie at its k-th distance; memory is the dense
     matrix and one N x N boolean mask.
     """
-    a = np.asarray(dense.matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"dense matrix must be square, got {a.shape}")
@@ -75,11 +75,8 @@ def truncate_system(dense: DenseSystem, knots: KnotSet, k: int,
 
     rows, cols = np.nonzero(keep)
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    matrix = sp.csr_matrix((a[rows, cols], cols, indptr), shape=(n, n))
-    rhs = None if dense.rhs is None else np.asarray(dense.rhs, dtype=float)
-    if rhs is None:
-        rhs = np.zeros(n)
-    return SparseSystem(matrix=matrix, rhs=rhs, k=k)
+    sparse = sp.csr_matrix((a[rows, cols], cols, indptr), shape=(n, n))
+    return SparseSystem(matrix=sparse, rhs=np.asarray(rhs, dtype=float), k=k)
 
 
 def solve_sparse(system: SparseSystem) -> np.ndarray:

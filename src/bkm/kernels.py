@@ -5,8 +5,9 @@ sin(r)/r in 3-d) are annihilated by the Helmholtz operator away from the
 origin and stay finite at r = 0; they span the homogeneous part of a
 solution. The multiquadric pair supplies the particular-solution machinery:
 ``phi_hat`` is the chosen approximate particular solution and ``phi`` is its
-image under the 2-d Helmholtz operator, so that a ``phi``-interpolant of the
-forcing lifts to a ``phi_hat`` expansion of a particular solution.
+image under the Helmholtz operator in the knots' dimension, so that a
+``phi``-interpolant of the forcing lifts to a ``phi_hat`` expansion of a
+particular solution.
 
 Bessel J0 and J1 come from ``scipy.special`` (Cephes). Measured against
 mpmath on a 160 001-point grid, the absolute error is at most 6.1e-16 on
@@ -129,20 +130,20 @@ def helmholtz_general_solution(dim: int) -> GeneralSolution:
 
 @dataclass(frozen=True)
 class KernelPair:
-    """Approximate particular solution and its 2-d Helmholtz image.
+    """Approximate particular solution and its Helmholtz image in d dimensions.
 
     With s = sqrt(r^2 + c^2):
 
     * ``phi_hat(r) = s^3`` is the particular-solution basis,
-    * ``phi(r) = 6 s + 3 r^2 / s + s^3`` equals
-      ``phi_hat'' + phi_hat'/r + phi_hat`` (radial 2-d laplacian plus
-      identity applied to phi_hat),
+    * ``phi(r, dimension=d) = 3 d s + 3 r^2 / s + s^3`` equals
+      ``phi_hat'' + (d - 1) phi_hat'/r + phi_hat`` (radial d-dimensional
+      laplacian plus identity applied to phi_hat),
     * ``phi_hat_normal(r, p) = 3 r s p`` is the directional derivative of
       phi_hat given p = dr/dn.
 
     The first term of ``phi`` carries the square root: applying the operator
-    to s^3 directly forces 6 s, and the operator-consistency tests pin this
-    form as a permanent regression check.
+    to s^3 directly forces 3 d s, and the operator-consistency tests pin this
+    form in 2-d and 3-d as a permanent regression check.
     """
 
     shape: float
@@ -167,10 +168,10 @@ class KernelPair:
     def phi_hat(self, r):
         return self._s(r) ** 3
 
-    def phi(self, r):
+    def phi(self, r, dimension=2):
         r = self._float_like(r)
         s = self._s(r)
-        return 6.0 * s + 3.0 * r * r / s + s**3
+        return (3.0 * dimension) * s + 3.0 * r * r / s + s**3
 
     def phi_hat_normal(self, r, projection):
         r = self._float_like(r)

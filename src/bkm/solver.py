@@ -22,8 +22,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._linalg import DenseSystem, FactoredMatrix, SolveRecord, solve_checked
-from .drm import DrmFit, build_interpolation_matrix, _points_array
+from ._linalg import FactoredMatrix, SolveRecord, solve_checked
+from .drm import (DrmFit, _points_array, apply_operator_coupling,
+                  build_interpolation_matrix)
 from .frm import solve_sparse, truncate_system
 from .geometry import Ellipse, KnotSet, _normal_projections, pairwise_distances
 from .kernels import GeneralSolution, KernelPair, helmholtz_general_solution
@@ -78,7 +79,6 @@ class ProblemSpec:
     neumann: Optional[Callable[[np.ndarray], np.ndarray]] = None
     rho: RhoDescriptor = field(default_factory=RhoZero)
     geometry: Optional[Ellipse] = None
-    dimension: int = 2
     exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -166,14 +166,13 @@ def _solve_stage(matrix, rhs, knots, frm_k, label):
     truncated to each row's k nearest knots, which records nothing."""
     if frm_k is None:
         return solve_checked(matrix, rhs, label=label)
-    return solve_sparse(truncate_system(DenseSystem(matrix, rhs), knots, frm_k)), None
+    return solve_sparse(truncate_system(matrix, rhs, knots, frm_k)), None
 
 
 def _finish_two_step(problem, knots, kernel, rhs_drm, gs, frm_k=None):
     """Shared tail: particular fit, homogeneous solve, interior evaluation."""
     matrix = build_interpolation_matrix(knots, kernel)
-    alpha, fit_rec = _solve_stage(matrix.entries, rhs_drm, knots, frm_k,
-                                  "particular-fit")
+    alpha, fit_rec = _solve_stage(matrix, rhs_drm, knots, frm_k, "particular-fit")
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
                  condition=None if fit_rec is None else fit_rec.condition)
 
@@ -196,8 +195,9 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     With no remaining operator the scheme is the plain two-step solve, and
     interior knots (if any) only enrich the particular-solution fit. A
     linear remaining operator couples nodal u-values into the right-hand
-    side: with interior knots this produces one combined (N+L)-unknown
-    system; boundary u-values must then be Dirichlet data.
+    side and produces one combined system for the N boundary weights and
+    the L interior u-values (L may be zero); boundary u-values must then be
+    Dirichlet data.
 
     ``frm_k`` truncates both systems to each row's k nearest knots and solves
     them by sparse LU, recording no diagnostics; it needs boundary knots only
@@ -210,7 +210,7 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
         raise ValueError("truncated (frm_k) solves do not support RhoLinear")
     if frm_k is not None and knots.n_interior > 0:
         raise ValueError("truncated (frm_k) solves need boundary knots only")
-    gs = helmholtz_general_solution(problem.dimension)
+    gs = helmholtz_general_solution(knots.dimension)
     f = _drm_rhs(problem, knots)
 
     if isinstance(problem.rho, RhoZero):
@@ -228,16 +228,8 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     # operator images pair with the phi_hat interpolation matrix
     b_hat = kernel.phi_hat(knots.distances)
     b_factored = FactoredMatrix(b_hat, label="u-interpolation")
-    coupling = b_factored.solve(images.T).T
+    coupling = apply_operator_coupling(b_factored, images)
     d_boundary = np.asarray(problem.dirichlet(knots.boundary_positions), dtype=float)
-
-    if knots.n_interior == 0:
-        rhs_drm = f + coupling @ d_boundary
-        solution = _finish_two_step(problem, knots, kernel, rhs_drm, gs)
-        solution.diagnostics = (solution.diagnostics[0], b_factored.record(),
-                                solution.diagnostics[1])
-        return solution
-
     return _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling,
                           d_boundary)
 
@@ -245,10 +237,11 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
 def _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling, d_boundary):
     """Combined solve for [lambda; interior u] under a linear remaining operator."""
     nb, ni = knots.n_boundary, knots.n_interior
-    matrix = build_interpolation_matrix(knots, kernel)
+    matrix = FactoredMatrix(build_interpolation_matrix(knots, kernel),
+                            label="particular-fit")
     # particular-solution values at knots as a linear map of the fitted rhs
     lift = matrix.solve(b_hat).T          # phi_hat-matrix times A^{-1}
-    records = [matrix.factor().record(), b_factored.record()]
+    records = [matrix.record(), b_factored.record()]
 
     g = lift @ coupling                   # nodal u -> u_p contribution at knots
     up_f = lift @ f                       # forcing contribution to u_p at knots
@@ -269,7 +262,8 @@ def _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling, d_boundary
     alpha = matrix.solve(f + coupling @ u_nodes)
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots, condition=matrix.condition)
     return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots,
-                       interior_u=interior_u, diagnostics=tuple(records))
+                       interior_u=interior_u if ni > 0 else None,
+                       diagnostics=tuple(records))
 
 
 def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
@@ -293,7 +287,7 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
     if not isinstance(problem.rho, RhoBoundaryNonlinear):
         raise ValueError("problem.rho must be RhoBoundaryNonlinear for this path")
 
-    gs = helmholtz_general_solution(problem.dimension)
+    gs = helmholtz_general_solution(knots.dimension)
     return _finish_two_step(problem, knots, kernel, _drm_rhs(problem, knots),
                             gs, frm_k)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bkm
-from bkm._linalg import DenseSystem, solve_checked
+from bkm._linalg import solve_checked
 from bkm.bench import run_case, table1_case, table2_case
 from bkm.drm import build_interpolation_matrix, fit_particular
 from bkm.frm import solve_sparse, truncate_system
@@ -115,7 +115,7 @@ def test_criterion_06_drm_exactness():
         if n_interior:
             knots = knots.with_interior(
                 interior_points(ELL1, n_interior, seed=total, shrink=0.9))
-        matrix = build_interpolation_matrix(knots, pair).entries
+        matrix = build_interpolation_matrix(knots, pair)
         for _ in range(4):
             rhs = rng.standard_normal(knots.size)
             fit = fit_particular(knots, pair, rhs)
@@ -144,22 +144,21 @@ def test_criterion_08_frm_consistency():
     # full truncation equals the dense solve
     knots = ellipse_knots(ELL1, 20)
     pair = mq_pair(1.0)
-    matrix = build_interpolation_matrix(knots, pair).entries
+    matrix = build_interpolation_matrix(knots, pair)
     rhs = matrix @ np.random.default_rng(8).uniform(-1.0, 1.0, 20)
     dense_x, _ = solve_checked(matrix, rhs)
-    sparse_x = solve_sparse(truncate_system(DenseSystem(matrix, rhs), knots, 20))
+    sparse_x = solve_sparse(truncate_system(matrix, rhs, knots, 20))
     full_diff = np.max(np.abs(sparse_x - dense_x))
 
     # widening the support must not increase the interpolant error
     knots50 = ellipse_knots(ELL1, 50)
-    m50 = build_interpolation_matrix(knots50, pair).entries
+    m50 = build_interpolation_matrix(knots50, pair)
     bp = knots50.boundary_positions
     fvals = np.sin(bp[:, 0]) + bp[:, 0] * bp[:, 1]
     grid = interior_points(ELL1, 40, seed=0)
     basis = pair.phi(np.linalg.norm(grid[:, None, :] - bp[None, :, :], axis=2))
-    dense_sys = DenseSystem(m50, fvals)
-    reference = basis @ solve_sparse(truncate_system(dense_sys, knots50, 50))
-    errs = [np.max(np.abs(basis @ solve_sparse(truncate_system(dense_sys,
+    reference = basis @ solve_sparse(truncate_system(m50, fvals, knots50, 50))
+    errs = [np.max(np.abs(basis @ solve_sparse(truncate_system(m50, fvals,
                                                                knots50, k))
                           - reference))
             for k in (10, 25, 50)]

@@ -126,6 +126,16 @@ def test_solve_problem_file(tmp_path, capsys):
     assert u == pytest.approx(np.sin(1.5) + 1.5, abs=0.05)
 
 
+def test_solve_rejects_dimension_other_than_two(tmp_path, capsys):
+    # the domain is an ellipse, so the problem is 2-d whatever the file says
+    path = tmp_path / "problem.txt"
+    path.write_text(PROBLEM_FILE.replace("dimension = 2", "dimension = 3"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "dimension must be 2" in err
+
+
 def test_solve_missing_file_exits_two(capsys):
     code, *_ = run_cli(capsys, "solve", "/nonexistent/problem.txt")
     assert code == 2

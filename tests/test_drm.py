@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bkm._linalg import FactoredMatrix
 from bkm.drm import (apply_operator_coupling, build_interpolation_matrix,
                      evaluate_particular, evaluate_particular_normal,
                      fit_particular)
@@ -18,14 +19,14 @@ def single_knot_set():
 
 def test_single_knot_matrix_is_phi_at_zero():
     m = build_interpolation_matrix(single_knot_set(), mq_pair(3.0))
-    np.testing.assert_allclose(m.entries, [[45.0]])
+    np.testing.assert_allclose(m, [[45.0]])
 
 
 def test_two_knot_matrix_structure():
     ks = KnotSet(np.array([[0.0, 0.0], [1.0, 0.5]]),
                  np.array([[1.0, 0.0], [0.0, 1.0]]))
     pair = mq_pair(3.0)
-    m = build_interpolation_matrix(ks, pair).entries
+    m = build_interpolation_matrix(ks, pair)
     assert m[0, 0] == m[1, 1] == pytest.approx(45.0)
     assert m[0, 1] == m[1, 0]
     d = np.hypot(1.0, 0.5)
@@ -34,7 +35,7 @@ def test_two_knot_matrix_structure():
 
 def test_seven_knot_matrix_symmetric_with_constant_diagonal():
     ks = ellipse_knots(ELL, 7)
-    m = build_interpolation_matrix(ks, mq_pair(3.0)).entries
+    m = build_interpolation_matrix(ks, mq_pair(3.0))
     assert m.shape == (7, 7)
     np.testing.assert_array_equal(m, m.T)
     np.testing.assert_allclose(np.diag(m), 45.0)
@@ -46,7 +47,7 @@ def test_matrix_symmetry_survives_knot_permutation():
     perm = rng.permutation(9)
     normals = ellipse_knots(ELL, 9).boundary_normals
     permuted = KnotSet(base[perm], normals[perm])
-    m = build_interpolation_matrix(permuted, mq_pair(3.0)).entries
+    m = build_interpolation_matrix(permuted, mq_pair(3.0))
     np.testing.assert_array_equal(m, m.T)
 
 
@@ -66,7 +67,7 @@ def test_fit_reproduces_rhs_at_knots():
     pair = mq_pair(3.0)
     rhs = ks.boundary_positions[:, 0]
     fit = fit_particular(ks, pair, rhs)
-    matrix = build_interpolation_matrix(ks, pair).entries
+    matrix = build_interpolation_matrix(ks, pair)
     resid = np.max(np.abs(matrix @ fit.alpha - rhs))
     assert resid <= 1e-9 * np.max(np.abs(rhs))
 
@@ -77,7 +78,7 @@ def test_interpolation_exactness_random_rhs(n_boundary, n_interior):
     if n_interior:
         ks = ks.with_interior(interior_points(ELL, n_interior, seed=3, shrink=0.9))
     pair = mq_pair(1.0)
-    matrix = build_interpolation_matrix(ks, pair).entries
+    matrix = build_interpolation_matrix(ks, pair)
     rng = np.random.default_rng(42)
     for _ in range(5):
         rhs = rng.standard_normal(ks.size)
@@ -154,27 +155,17 @@ def test_evaluate_particular_vectorised():
 
 def test_operator_coupling_zero_identity_and_scaling():
     ks = ellipse_knots(ELL, 7)
-    matrix = build_interpolation_matrix(ks, mq_pair(3.0))
+    matrix = FactoredMatrix(build_interpolation_matrix(ks, mq_pair(3.0)))
     zero = apply_operator_coupling(matrix, np.zeros((7, 7)))
     np.testing.assert_allclose(zero, 0.0, atol=1e-12)
-    ident = apply_operator_coupling(matrix, matrix.entries)
+    ident = apply_operator_coupling(matrix, matrix.matrix)
     np.testing.assert_allclose(ident, np.eye(7), atol=1e-9)
-    doubled = apply_operator_coupling(matrix, 2.0 * matrix.entries)
+    doubled = apply_operator_coupling(matrix, 2.0 * matrix.matrix)
     np.testing.assert_allclose(doubled, 2.0 * np.eye(7), atol=1e-9)
 
 
 def test_operator_coupling_shape_mismatch():
     ks = ellipse_knots(ELL, 7)
-    matrix = build_interpolation_matrix(ks, mq_pair(3.0))
+    matrix = FactoredMatrix(build_interpolation_matrix(ks, mq_pair(3.0)))
     with pytest.raises(ValueError):
         apply_operator_coupling(matrix, np.zeros((6, 6)))
-
-
-def test_interpolation_matrix_lazy_factorisation():
-    ks = ellipse_knots(ELL, 7)
-    m = build_interpolation_matrix(ks, mq_pair(3.0))
-    assert not m.is_factored
-    assert m.condition is None
-    m.solve(np.zeros(7))
-    assert m.is_factored
-    assert m.condition > 1.0

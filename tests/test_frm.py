@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bkm._linalg import DenseSystem, solve_checked
+from bkm._linalg import solve_checked
 from bkm.drm import build_interpolation_matrix
 from bkm.errors import IllConditionedError
 from bkm.frm import SparseSystem, solve_sparse, truncate_system
@@ -13,10 +13,10 @@ ELL = Ellipse(np.zeros(2), 2.0, 1.0)
 
 def mq_system(n, c=1.0, seed=1):
     ks = ellipse_knots(ELL, n)
-    matrix = build_interpolation_matrix(ks, mq_pair(c)).entries
+    matrix = build_interpolation_matrix(ks, mq_pair(c))
     rng = np.random.default_rng(seed)
     rhs = matrix @ rng.uniform(-1.0, 1.0, n)
-    return ks, DenseSystem(matrix, rhs)
+    return ks, matrix, rhs
 
 
 def truncation_oracle(knots, k, symmetrize=False):
@@ -59,11 +59,10 @@ def test_truncation_matches_stable_argsort_oracle(make_knots):
     rng = np.random.default_rng(n)
     # a third of the entries are zero: kept zeros must stay explicit
     matrix = np.where(rng.random((n, n)) < 1 / 3, 0.0, rng.standard_normal((n, n)))
-    dense = DenseSystem(matrix, np.ones(n))
     ties = 0
     for k in range(1, n + 1):
         for symmetrize in (False, True):
-            sparse = truncate_system(dense, ks, k, symmetrize=symmetrize)
+            sparse = truncate_system(matrix, np.ones(n), ks, k, symmetrize=symmetrize)
             expected = truncation_oracle(ks, k, symmetrize)
             coo = sparse.matrix.tocoo()
             pattern = np.zeros((n, n), dtype=bool)
@@ -81,21 +80,21 @@ def test_truncation_matches_stable_argsort_oracle(make_knots):
 
 
 def test_full_truncation_equals_dense_entries():
-    ks, dense = mq_system(12)
-    sparse = truncate_system(dense, ks, 12)
-    np.testing.assert_array_equal(sparse.matrix.toarray(), dense.matrix)
+    ks, matrix, rhs = mq_system(12)
+    sparse = truncate_system(matrix, rhs, ks, 12)
+    np.testing.assert_array_equal(sparse.matrix.toarray(), matrix)
 
 
 def test_k_one_keeps_only_the_diagonal():
-    ks, dense = mq_system(9, c=3.0)
-    sparse = truncate_system(dense, ks, 1)
+    ks, matrix, rhs = mq_system(9, c=3.0)
+    sparse = truncate_system(matrix, rhs, ks, 1)
     np.testing.assert_array_equal(sparse.matrix.toarray(),
-                                  np.diag(np.diag(dense.matrix)))
+                                  np.diag(np.diag(matrix)))
 
 
 def test_seven_knot_neighbourhoods_match_brute_force():
-    ks, dense = mq_system(7)
-    sparse = truncate_system(dense, ks, 3)
+    ks, matrix, rhs = mq_system(7)
+    sparse = truncate_system(matrix, rhs, ks, 3)
     pts = ks.all_positions
     dense_mat = sparse.matrix.toarray()
     for i in range(7):
@@ -110,17 +109,17 @@ def test_seven_knot_neighbourhoods_match_brute_force():
 
 
 def test_kept_entries_identical_no_decay():
-    ks, dense = mq_system(15)
-    sparse = truncate_system(dense, ks, 6)
+    ks, matrix, rhs = mq_system(15)
+    sparse = truncate_system(matrix, rhs, ks, 6)
     arr = sparse.matrix.toarray()
     mask = arr != 0.0
-    np.testing.assert_array_equal(arr[mask], dense.matrix[mask])
+    np.testing.assert_array_equal(arr[mask], matrix[mask])
 
 
 def test_sparsity_bound():
-    ks, dense = mq_system(20)
+    ks, matrix, rhs = mq_system(20)
     for k in (1, 3, 7, 20):
-        sparse = truncate_system(dense, ks, k)
+        sparse = truncate_system(matrix, rhs, ks, k)
         assert sparse.matrix.nnz <= k * 20
         per_row = np.diff(sparse.matrix.indptr)
         assert np.all(per_row <= k)
@@ -132,35 +131,34 @@ def test_pattern_generally_asymmetric_until_symmetrized():
     normals = np.tile([1.0, 0.0], (14, 1))
     ks = KnotSet(pos, normals)
     pair = mq_pair(1.0)
-    matrix = build_interpolation_matrix(ks, pair).entries
-    dense = DenseSystem(matrix, np.zeros(14))
-    plain = truncate_system(dense, ks, 4)
+    matrix = build_interpolation_matrix(ks, pair)
+    plain = truncate_system(matrix, np.zeros(14), ks, 4)
     pat = (plain.matrix.toarray() != 0)
     assert not np.array_equal(pat, pat.T)     # scattered knots: asymmetric
-    sym = truncate_system(dense, ks, 4, symmetrize=True)
+    sym = truncate_system(matrix, np.zeros(14), ks, 4, symmetrize=True)
     pat_sym = (sym.matrix.toarray() != 0)
     np.testing.assert_array_equal(pat_sym, pat_sym.T)
     assert pat_sym.sum() >= pat.sum()
 
 
 def test_truncate_validation():
-    ks, dense = mq_system(7)
+    ks, matrix, rhs = mq_system(7)
     with pytest.raises(ValueError):
-        truncate_system(dense, ks, 0)
+        truncate_system(matrix, rhs, ks, 0)
     with pytest.raises(ValueError):
-        truncate_system(dense, ks, 8)
+        truncate_system(matrix, rhs, ks, 8)
     with pytest.raises(ValueError):
-        truncate_system(DenseSystem(dense.matrix[:5], dense.rhs[:5]), ks, 3)
+        truncate_system(matrix[:5, :5], rhs[:5], ks, 3)
 
 
 def test_full_sparse_solve_matches_dense():
-    ks, dense = mq_system(20)
-    sparse = truncate_system(dense, ks, 20)
+    ks, matrix, rhs = mq_system(20)
+    sparse = truncate_system(matrix, rhs, ks, 20)
     x_sparse = solve_sparse(sparse)
-    x_dense, _ = solve_checked(dense.matrix, dense.rhs)
+    x_dense, _ = solve_checked(matrix, rhs)
     assert np.max(np.abs(x_sparse - x_dense)) < 1e-10
-    resid = np.max(np.abs(dense.rhs - dense.matrix @ x_sparse))
-    assert resid <= 1e-9 * np.max(np.abs(dense.rhs))
+    resid = np.max(np.abs(rhs - matrix @ x_sparse))
+    assert resid <= 1e-9 * np.max(np.abs(rhs))
 
 
 def test_sparse_solve_tolerates_stiff_but_solvable_systems():
@@ -168,9 +166,9 @@ def test_sparse_solve_tolerates_stiff_but_solvable_systems():
     # must pass even though the rhs-relative residual cannot reach 1e-9
     ks = ellipse_knots(Ellipse(np.array([3.0, 0.0]), 1.5, 0.5), 9)
     pair = mq_pair(18.0)
-    matrix = build_interpolation_matrix(ks, pair).entries
+    matrix = build_interpolation_matrix(ks, pair)
     rhs = 2.0 * ks.boundary_positions[:, 1] * np.exp(ks.boundary_positions[:, 0])
-    x = solve_sparse(truncate_system(DenseSystem(matrix, rhs), ks, 9))
+    x = solve_sparse(truncate_system(matrix, rhs, ks, 9))
     assert np.all(np.isfinite(x))
     backward = np.abs(matrix) @ np.abs(x) + np.abs(rhs)
     eta = np.max(np.abs(rhs - matrix @ x) / backward)
@@ -178,10 +176,10 @@ def test_sparse_solve_tolerates_stiff_but_solvable_systems():
 
 
 def test_diagonal_solve():
-    ks, dense = mq_system(9, c=3.0)
-    sparse = truncate_system(dense, ks, 1)
+    ks, matrix, rhs = mq_system(9, c=3.0)
+    sparse = truncate_system(matrix, rhs, ks, 1)
     x = solve_sparse(sparse)
-    np.testing.assert_allclose(x, dense.rhs / 45.0, rtol=1e-12)
+    np.testing.assert_allclose(x, rhs / 45.0, rtol=1e-12)
 
 
 def test_sweep_error_decreases_towards_dense():
@@ -190,10 +188,9 @@ def test_sweep_error_decreases_towards_dense():
     n = 50
     ks = ellipse_knots(ELL, n)
     pair = mq_pair(1.0)
-    matrix = build_interpolation_matrix(ks, pair).entries
+    matrix = build_interpolation_matrix(ks, pair)
     fvals = np.sin(ks.boundary_positions[:, 0]) + \
         ks.boundary_positions[:, 0] * ks.boundary_positions[:, 1]
-    dense = DenseSystem(matrix, fvals)
 
     rng = np.random.default_rng(0)
     grid = []
@@ -205,10 +202,10 @@ def test_sweep_error_decreases_towards_dense():
     basis = pair.phi(np.linalg.norm(grid[:, None, :] -
                                     ks.boundary_positions[None, :, :], axis=2))
 
-    reference = basis @ solve_sparse(truncate_system(dense, ks, n))
+    reference = basis @ solve_sparse(truncate_system(matrix, fvals, ks, n))
     errors = []
     for k in (10, 25, n):
-        xk = solve_sparse(truncate_system(dense, ks, k))
+        xk = solve_sparse(truncate_system(matrix, fvals, ks, k))
         errors.append(np.max(np.abs(basis @ xk - reference)))
     assert errors[0] >= errors[1] >= errors[2]
     assert errors[2] == 0.0
@@ -219,14 +216,14 @@ def test_sparse_solve_rejects_structural_singularity():
     normals = np.tile([1.0, 0.0], (2, 1))
     ks = KnotSet(pos, normals)
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])   # zero diagonal
-    sparse = truncate_system(DenseSystem(matrix, np.ones(2)), ks, 1)
+    sparse = truncate_system(matrix, np.ones(2), ks, 1)
     with pytest.raises((np.linalg.LinAlgError, IllConditionedError)):
         solve_sparse(sparse)
 
 
 def test_sparse_system_records_k():
-    ks, dense = mq_system(10)
-    sparse = truncate_system(dense, ks, 4)
+    ks, matrix, rhs = mq_system(10)
+    sparse = truncate_system(matrix, rhs, ks, 4)
     assert isinstance(sparse, SparseSystem)
     assert sparse.k == 4
     assert sparse.size == 10

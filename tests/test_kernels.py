@@ -160,18 +160,20 @@ def test_mq_pair_rejects_nonpositive_shape():
             mq_pair(c)
 
 
-@pytest.mark.parametrize("c", [1.0, 3.0, 18.0])
-def test_mq_operator_consistency(c):
-    # phi must equal the radial 2-d laplacian of phi_hat plus phi_hat itself;
-    # the difference stencil runs in extended precision so the step of 1e-5
-    # stays above the rounding floor even at c = 18
+@pytest.mark.parametrize("c,dim", [
+    pytest.param(c, dim, id=f"{c}" if dim == 2 else f"{c}-3d")
+    for dim in (2, 3) for c in (1.0, 3.0, 18.0)])
+def test_mq_operator_consistency(c, dim):
+    # phi must equal the radial d-dimensional laplacian of phi_hat plus
+    # phi_hat itself; the difference stencil runs in extended precision so
+    # the step of 1e-5 stays above the rounding floor even at c = 18
     pair = mq_pair(c)
     rng = np.random.default_rng(7)
     for r in rng.uniform(1e-3, 5.0, 30):
         lap = fd_radial_laplacian(pair.phi_hat, np.longdouble(r),
-                                  h=np.longdouble(1e-5))
+                                  h=np.longdouble(1e-5), dim=dim)
         expected = float(lap) + pair.phi_hat(r)
-        assert pair.phi(r) == pytest.approx(expected, rel=1e-6)
+        assert pair.phi(r, dimension=dim) == pytest.approx(expected, rel=1e-6)
 
 
 def test_mq_phi_hat_normal_is_radial_derivative():

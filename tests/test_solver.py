@@ -3,7 +3,7 @@ import pytest
 
 from bkm.drm import evaluate_particular
 from bkm.errors import IllConditionedError
-from bkm.geometry import Ellipse, ellipse_knots, pairwise_distances
+from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
 from bkm.kernels import bessel_j0, bessel_j1, helmholtz_general_solution, mq_pair
 from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
@@ -244,6 +244,55 @@ def test_coupled_zero_images_match_plain_path():
     np.testing.assert_allclose(s1.interior_u, s0.interior_u, atol=1e-9)
 
 
+def test_coupled_boundary_only_zero_images_match_plain_path():
+    # with no interior knots the coupled route is the only RhoLinear route;
+    # zero images leave the plain two-step solve, up to LU round-off
+    problem_zero = helmholtz_problem()
+    problem_coupled = ProblemSpec(forcing=problem_zero.forcing,
+                                  dirichlet=problem_zero.dirichlet,
+                                  rho=RhoLinear(lambda k, kr: np.zeros((k.size, k.size))),
+                                  geometry=ELL1)
+    n = 10
+    ks = ellipse_knots(ELL1, n)
+    s0 = solve_linear(problem_zero, ks, mq_pair(3.0))
+    s1 = solve_linear(problem_coupled, ks, mq_pair(3.0))
+    assert [rec.label for rec in s1.diagnostics] == \
+        ["particular-fit", "u-interpolation", "collocation"]
+    assert s1.interior_u is None
+    cond_fit, cond_coll = (rec.condition for rec in s0.diagnostics)
+    gamma = n * np.finfo(float).eps
+    alpha = s0.drm_fit.alpha
+    assert np.max(np.abs(s1.drm_fit.alpha - alpha)) <= \
+        2 * cond_fit * gamma * np.max(np.abs(alpha))
+    pts = np.vstack([ks.boundary_positions, interior_points(ELL1, 20, seed=4)])
+    u = evaluate(s0, pts)
+    assert np.max(np.abs(evaluate(s1, pts) - u)) <= \
+        2 * (cond_fit + cond_coll) * gamma * np.max(np.abs(u))
+
+
+def test_coupled_boundary_only_meets_dirichlet_data():
+    exact = lambda p: (p[:, 0]**2 + p[:, 1]**2) / 4.0
+    problem = ProblemSpec(forcing=lambda p: np.ones(len(p)), dirichlet=exact,
+                          rho=RhoLinear(_phi_hat_images), geometry=ELL1)
+    ks = ellipse_knots(ELL1, 12)
+    sol = solve_linear(problem, ks, mq_pair(1.0))
+    assert sol.interior_u is None
+    np.testing.assert_allclose(evaluate(sol, ks.boundary_positions),
+                               exact(ks.boundary_positions), atol=1e-9)
+
+
+@pytest.mark.parametrize("n_interior", [0, 3])
+def test_coupled_rejects_basis_images_of_wrong_shape(n_interior):
+    problem = ProblemSpec(forcing=lambda p: np.ones(len(p)),
+                          dirichlet=lambda p: np.zeros(len(p)),
+                          rho=RhoLinear(lambda k, kr: np.zeros((k.size, k.size - 1))),
+                          geometry=ELL1)
+    ks = ellipse_knots(ELL1, 8).with_interior(
+        interior_points(ELL1, n_interior, seed=2, shrink=0.8))
+    with pytest.raises(ValueError, match="must match"):
+        solve_linear(problem, ks, mq_pair(1.0))
+
+
 def test_coupled_path_requires_dirichlet_everywhere():
     problem = ProblemSpec(forcing=lambda p: np.ones(len(p)),
                           dirichlet=lambda p: np.zeros(len(p)),
@@ -354,6 +403,34 @@ def test_truncated_solution_records_no_diagnostics(solve, problem, n, c):
     assert sol.diagnostics == ()
     assert sol.drm_fit.condition is None
     assert np.all(np.isfinite(sol.lam))
+
+
+# ---------------------------------------------------------------------------
+# Three dimensions
+# ---------------------------------------------------------------------------
+
+def fibonacci_sphere(n, radius=1.0):
+    """n near-uniform points on a sphere centred at the origin."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    t = np.pi * (1.0 + 5 ** 0.5) * i
+    rho = np.sqrt(1.0 - z * z)
+    return radius * np.column_stack([rho * np.cos(t), rho * np.sin(t), z])
+
+
+def test_three_dimensional_solve_on_unit_sphere():
+    # laplacian u + u = 2 + x + y^2 with u* = x + y^2; the DRM fit needs the
+    # 3-d image of phi_hat (max error 1.0e-3; 9.6e-2 with the 2-d image)
+    exact = lambda p: p[:, 0] + p[:, 1] ** 2
+    problem = ProblemSpec(forcing=lambda p: 2.0 + exact(p), dirichlet=exact)
+    boundary = fibonacci_sphere(40)
+    ks = KnotSet(boundary, boundary, interior=fibonacci_sphere(20, 0.5))
+    sol = solve_linear(problem, ks, mq_pair(1.0))
+    assert sol.general_solution.dimension == 3
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.55, 0.55, (200, 3))
+    err = np.max(np.abs(evaluate(sol, pts) - exact(pts)))
+    assert err <= 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,21 @@
 Multiquadric collocation matrices are notoriously ill-conditioned, so every
 factorisation here produces a condition estimate and raises
 :class:`IllConditionedError` instead of silently returning noise once the
-estimate passes ``COND_LIMIT``. A single iterative-refinement step with an
-extended-precision residual is applied to each solve.
+estimate passes ``COND_LIMIT``. A single iterative-refinement step is applied
+to each solve: its residual is accumulated in extended precision for one
+right-hand side, and in float64 BLAS for a matrix of them.
+
+LAPACK's ``dgetrf`` / ``dgetrs`` / ``dgecon`` are called directly: they are
+what ``scipy.linalg.lu_factor`` / ``lu_solve`` call, with the same arguments,
+so the results are the same bits without the wrappers' per-call overhead. The
+wrappers' checks are kept here: non-finite input raises ``ValueError``, as
+does an illegal-argument ``info``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import IllConditionedError
@@ -37,15 +42,18 @@ class FactoredMatrix:
 
     def __init__(self, matrix, label="system"):
         a = np.ascontiguousarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
         self.matrix = a
         self.label = label
-        anorm = np.linalg.norm(a, 1)
-        with warnings.catch_warnings():
-            # exact singularity surfaces as IllConditionedError below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu, self._piv = sla.lu_factor(a)
+        # np.linalg.norm(a, 1); it is finite whenever every entry is, unless
+        # a column sum overflows, so the entrywise check runs only then
+        anorm = np.abs(a).sum(axis=0).max()
+        if not np.isfinite(anorm) and not np.isfinite(a).all():
+            raise ValueError(f"{label} matrix must not contain infs or NaNs")
+        # an exactly zero pivot (info > 0) surfaces as IllConditionedError below
+        self._lu, self._piv, info = lapack.dgetrf(a)
+        _check_info("dgetrf", info)
         rcond, info = lapack.dgecon(self._lu, anorm, norm="1")
         if info != 0:
             raise np.linalg.LinAlgError(f"condition estimation failed (info={info})")
@@ -65,11 +73,33 @@ class FactoredMatrix:
     def solve(self, rhs):
         """Solve A x = rhs for one right-hand side or a matrix of them."""
         b = np.asarray(rhs, dtype=float)
-        x = sla.lu_solve((self._lu, self._piv), b)
-        # one refinement step; residual accumulated in extended precision
-        a_ld = self.matrix.astype(_LD)
-        resid = (b.astype(_LD) - a_ld @ x.astype(_LD)).astype(float)
-        return x + sla.lu_solve((self._lu, self._piv), resid)
+        if b.ndim not in (1, 2) or b.shape[0] != self.size:
+            raise ValueError(f"right-hand side of shape {b.shape} does not fit "
+                             f"a {self.size} x {self.size} {self.label}")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        x = self._lu_solve(b)
+        # one refinement step. A matrix of right-hand sides takes a float64
+        # BLAS residual, since a long-double matrix product runs outside BLAS;
+        # fixed-precision refinement is still componentwise backward stable
+        # (Skeel 1980).
+        if b.ndim == 1:
+            resid = (b.astype(_LD) - self.matrix.astype(_LD) @ x.astype(_LD)).astype(float)
+        else:
+            resid = b - self.matrix @ x
+        if not np.isfinite(resid).all():
+            raise ValueError("refinement residual must not contain infs or NaNs")
+        return x + self._lu_solve(resid)
+
+    def _lu_solve(self, b):
+        x, info = lapack.dgetrs(self._lu, self._piv, b)
+        _check_info("dgetrs", info)
+        return x
+
+
+def _check_info(routine, info):
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def solve_checked(matrix, rhs, label="system"):

@@ -94,18 +94,17 @@ class KnotSet:
     def __init__(self, boundary_positions, boundary_normals, dirichlet_count=None,
                  interior=None):
         # private copies: these arrays are frozen below
-        bp = np.atleast_2d(np.array(boundary_positions, dtype=float))
-        bn = np.atleast_2d(np.array(boundary_normals, dtype=float))
+        bp = np.array(boundary_positions, dtype=float, ndmin=2)
+        bn = np.array(boundary_normals, dtype=float, ndmin=2)
         if bp.shape[0] < 1:
             raise ValueError("at least one boundary knot is required")
         if bp.shape[1] not in (2, 3):
             raise ValueError(f"knot dimension must be 2 or 3, got {bp.shape[1]}")
         if bn.shape != bp.shape:
             raise ValueError("boundary_normals must match boundary_positions in shape")
-        if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(bn)):
+        if not (np.isfinite(bp).all() and np.isfinite(bn).all()):
             raise ValueError("knot coordinates and normals must be finite")
-        norms = np.linalg.norm(bn, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        if (np.abs(_row_norms(bn) - 1.0) > UNIT_TOL).any():
             raise ValueError("all boundary normals must have unit length")
 
         if interior is None:
@@ -115,14 +114,14 @@ class KnotSet:
             ip = ip.reshape(0, bp.shape[1]) if ip.size == 0 else np.atleast_2d(ip)
             if ip.shape[1] != bp.shape[1]:
                 raise ValueError("interior knots must match the boundary dimension")
-            if not np.all(np.isfinite(ip)):
+            if not np.isfinite(ip).all():
                 raise ValueError("interior coordinates must be finite")
 
         dc = bp.shape[0] if dirichlet_count is None else int(dirichlet_count)
         if not 0 <= dc <= bp.shape[0]:
             raise ValueError("dirichlet_count out of range")
 
-        allp = np.vstack([bp, ip])
+        allp = np.concatenate((bp, ip))
         dists = pairwise_distances(allp, allp)
         _check_pairwise_distinct(dists)
 
@@ -230,13 +229,21 @@ def _normal_projections(points, normals, sources, r):
     return proj
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)``, the same arithmetic without its dispatch."""
+    return np.sqrt(np.square(v).sum(axis=1))
+
+
 def _check_pairwise_distinct(dists: np.ndarray):
     # mask the self-distances in place, then restore their exact zeros
-    np.fill_diagonal(dists, np.inf)
-    i, j = np.unravel_index(np.argmin(dists), dists.shape)
-    nearest = dists[i, j]
-    np.fill_diagonal(dists, 0.0)
+    flat = dists.reshape(-1)
+    diagonal = flat[::dists.shape[0] + 1]
+    diagonal.fill(np.inf)
+    k = flat.argmin()
+    nearest = flat[k]
+    diagonal.fill(0.0)
     if nearest <= COINCIDENT_TOL:
+        i, j = divmod(int(k), dists.shape[0])
         raise DegenerateGeometryError(
             f"knots {i} and {j} coincide (distance {nearest:.3e})")
 
@@ -253,9 +260,13 @@ def ellipse_knots(e: Ellipse, n: int) -> KnotSet:
         raise ValueError("knot count must be at least 1")
     t = 2.0 * np.pi * np.arange(n) / n
     a, b = e.semi_major, e.semi_minor
-    positions = e.center + np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
-    normals = np.stack([b * np.cos(t), a * np.sin(t)], axis=1)
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    trig = np.empty((n, 2))
+    trig[:, 0] = np.cos(t)
+    trig[:, 1] = np.sin(t)
+    positions = trig * (a, b)
+    positions += e.center
+    normals = trig * (b, a)
+    normals /= _row_norms(normals)[:, None]
     return KnotSet(positions, normals)
 
 

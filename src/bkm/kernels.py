@@ -28,9 +28,11 @@ from scipy import special
 
 def _validated_radius(r):
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("radius must be finite")
-    if np.any(arr < 0):
+    # one min/max pass (NaN fails both comparisons); the detailed check that
+    # picks the message runs only on failure
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+        if not np.isfinite(arr).all():
+            raise ValueError("radius must be finite")
         raise ValueError("radius must be non-negative")
     return arr
 
@@ -72,17 +74,17 @@ class GeneralSolution:
     dimension: int
 
     def value(self, r):
-        r = _validated_radius(r)
+        # radii are validated once: by bessel_j0/j1 in 2-d, here in 3-d
         if self.dimension == 2:
             return bessel_j0(r)
-        return _sinc(r)
+        return _sinc(_validated_radius(r))
 
     def normal_derivative(self, r, projection):
-        r = _validated_radius(r)
-        p = np.asarray(projection, dtype=float)
         if self.dimension == 2:
-            return -bessel_j1(r) * p
-        return _sinc_derivative(r) * p
+            dv = -bessel_j1(r)
+        else:
+            dv = _sinc_derivative(_validated_radius(r))
+        return dv * np.asarray(projection, dtype=float)
 
 
 def _sinc(r):
@@ -162,11 +164,11 @@ class KernelPair:
         return arr if arr.dtype.kind == "f" else arr.astype(float)
 
     def _s(self, r):
-        r = self._float_like(r)
+        # r has been through _float_like
         return np.sqrt(r * r + self.shape * self.shape)
 
     def phi_hat(self, r):
-        return self._s(r) ** 3
+        return self._s(self._float_like(r)) ** 3
 
     def phi(self, r, dimension=2):
         r = self._float_like(r)

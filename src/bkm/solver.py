@@ -184,7 +184,8 @@ def _finish_two_step(problem, knots, kernel, rhs_drm, gs, frm_k=None):
     solution = BkmSolution(lam=lam, drm_fit=fit, general_solution=gs,
                            knots=knots, diagnostics=records)
     if knots.n_interior > 0:
-        solution.interior_u = evaluate(solution, knots.interior)
+        # the interior rows of the knot distances are evaluate()'s distances
+        solution.interior_u = _field(solution, knots.distances[knots.n_boundary:])
     return solution
 
 
@@ -294,12 +295,17 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
 
 def evaluate(solution: BkmSolution, x):
     """Field value u = v + u_p at a point or an (m, d) array of points."""
-    knots, fit = solution.knots, solution.drm_fit
+    knots = solution.knots
     pts, scalar = _points_array(x, knots.dimension)
-    r = pairwise_distances(pts, knots.all_positions)
-    v = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam
-    u = v + fit.kernel.phi_hat(r) @ fit.alpha
+    u = _field(solution, pairwise_distances(pts, knots.all_positions))
     return float(u[0]) if scalar else u
+
+
+def _field(solution: BkmSolution, r: np.ndarray) -> np.ndarray:
+    """u = v + u_p at the points whose distances to all knots are the rows of r."""
+    fit = solution.drm_fit
+    v = solution.general_solution.value(r[:, :solution.knots.n_boundary]) @ solution.lam
+    return v + fit.kernel.phi_hat(r) @ fit.alpha
 
 
 def evaluate_homogeneous(solution: BkmSolution, x):

@@ -182,6 +182,14 @@ def test_interior_knots_enrich_fit_without_changing_bc():
     assert np.max(np.abs(u - data)) <= 1e-8 * np.max(np.abs(data))
 
 
+def test_interior_values_are_the_field_at_the_interior_knots():
+    # interior_u reuses the knot distances; evaluate() recomputes them
+    ks = ellipse_knots(ELL1, 7).with_interior(interior_points(ELL1, 5, seed=2,
+                                                              shrink=0.8))
+    sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
+    np.testing.assert_array_equal(sol.interior_u, evaluate(sol, ks.interior))
+
+
 def test_solver_requires_boundary_data():
     problem = ProblemSpec(forcing=lambda p: p[:, 0], rho=RhoZero())
     ks = ellipse_knots(ELL1, 5)

@@ -43,8 +43,3 @@ for k in (5, 10, 25, 50):
 print()
 print("k = 50 keeps every entry, so the sparse solve reproduces the dense")
 print("solution; smaller supports trade accuracy for a banded system.")
-
-sym = truncate_system(matrix, values, knots, 5, symmetrize=True)
-pattern = (sym.matrix.toarray() != 0)
-print(f"symmetrised pattern at k = 5: {sym.matrix.nnz} nonzeros, "
-      f"symmetric = {np.array_equal(pattern, pattern.T)}")

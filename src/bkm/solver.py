@@ -9,20 +9,22 @@ factorisation), enforcing the particular-solution-corrected boundary data.
 Nonlinear equations whose nonlinearity can be evaluated from Dirichlet data
 alone collapse to the same two linear solves: with boundary knots only, the
 unknown never appears inside the remaining operator, so no iteration is
-needed. Each solution records one :class:`SolveRecord` per dense
-factorisation, which is how tests assert the single-solve property.
+needed. A linear remaining operator keeps the same two stages: the fit's
+right-hand side is affine in the interior u-values, which join the
+collocation as unknowns. Each solution records one :class:`SolveRecord` per
+dense factorisation, which is how tests assert the single-solve property.
 
 The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
 systems are truncated to k nearest neighbours and solved by sparse LU.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._linalg import FactoredMatrix, SolveRecord, solve_checked
+from ._linalg import FactoredMatrix, SolveRecord
 from .drm import (DrmFit, _points_array, apply_operator_coupling,
                   build_interpolation_matrix)
 from .frm import solve_sparse, truncate_system
@@ -148,45 +150,82 @@ def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarr
     return rhs
 
 
-def _drm_rhs(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
-    """What the particular fit interpolates: the forcing at every knot, plus
-    a boundary-nonlinear rest evaluated on the Dirichlet data."""
+def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
+    """What the particular fit interpolates, affine in the interior u-values.
+
+    Returns ``(rhs, rhs_u, u_interp)``: the fit's right-hand side is
+    ``rhs + rhs_u @ u_int``. ``rhs`` is the forcing at every knot, plus a
+    boundary-nonlinear rest evaluated on the Dirichlet data, or a linear
+    rest applied to it. A linear rest also contributes ``rhs_u``, one column
+    per interior knot (None without them), and ``u_interp``, the factored
+    phi_hat matrix the rest's images are mapped through (None otherwise).
+    """
     rhs = np.asarray(problem.forcing(knots.all_positions), dtype=float)
     if rhs.shape != (knots.size,):
         raise ValueError("forcing must return one value per knot")
+    if isinstance(problem.rho, RhoZero):
+        return rhs, None, None
+    pts = knots.boundary_positions
+    u_b = np.asarray(problem.dirichlet(pts), dtype=float)
     if isinstance(problem.rho, RhoBoundaryNonlinear):
-        pts = knots.boundary_positions
-        u_b = np.asarray(problem.dirichlet(pts), dtype=float)
-        rhs = rhs + np.asarray(problem.rho.apply(u_b, pts), dtype=float)
-    return rhs
+        return rhs + np.asarray(problem.rho.apply(u_b, pts), dtype=float), None, None
+    images = np.asarray(problem.rho.basis_images(knots, kernel), dtype=float)
+    # u is quasi-interpolated in the particular-solution basis, so the
+    # operator images pair with the phi_hat interpolation matrix
+    u_interp = FactoredMatrix(kernel.phi_hat(knots.distances), label="u-interpolation")
+    coupling = apply_operator_coupling(u_interp, images)   # rho{u} = coupling @ u
+    nb = knots.n_boundary
+    rhs_u = coupling[:, nb:] if knots.n_interior > 0 else None
+    return rhs + coupling[:, :nb] @ u_b, rhs_u, u_interp
 
 
 def _solve_stage(matrix, rhs, knots, frm_k, label):
-    """Dense checked LU, or with ``frm_k`` the sparse LU of the system
-    truncated to each row's k nearest knots, which records nothing."""
+    """Dense checked LU, returning the solution and the factorisation, or with
+    ``frm_k`` the sparse LU of the system truncated to each row's k nearest
+    knots, which keeps no factorisation."""
     if frm_k is None:
-        return solve_checked(matrix, rhs, label=label)
+        lu = FactoredMatrix(matrix, label=label)
+        return lu.solve(rhs), lu
     return solve_sparse(truncate_system(matrix, rhs, knots, frm_k)), None
 
 
-def _finish_two_step(problem, knots, kernel, rhs_drm, gs, frm_k=None):
-    """Shared tail: particular fit, homogeneous solve, interior evaluation."""
-    matrix = build_interpolation_matrix(knots, kernel)
-    alpha, fit_rec = _solve_stage(matrix, rhs_drm, knots, frm_k, "particular-fit")
+def _finish_two_step(problem, knots, kernel, frm_k=None):
+    """The one solve tail: particular fit, homogeneous solve, interior values.
+
+    The fit is affine in the interior u-values, alpha = alpha_0 + alpha_u
+    u_int. When it depends on them (a linear rest with interior knots), the
+    interior rows u(x_j) = u_int_j join the collocation, whose unknowns are
+    then [lambda; u_int]; otherwise u_int is the field at the interior knots.
+    """
+    nb = knots.n_boundary
+    gs = helmholtz_general_solution(knots.dimension)
+    rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel)
+    alpha, fit_lu = _solve_stage(build_interpolation_matrix(knots, kernel), rhs,
+                                 knots, frm_k, "particular-fit")
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
-                 condition=None if fit_rec is None else fit_rec.condition)
-
-    h = assemble_homogeneous_rows(knots, gs)[:knots.n_boundary]
+                 condition=None if fit_lu is None else fit_lu.condition)
+    rows = assemble_homogeneous_rows(knots, gs)
     rhs_h = _boundary_rhs(problem, knots, fit)
-    lam, rec = _solve_stage(h, rhs_h, knots, frm_k, "collocation")
+    interior_u = None
+    if rhs_u is None:
+        lam, coll_lu = _solve_stage(rows[:nb], rhs_h, knots, frm_k, "collocation")
+        if knots.n_interior > 0:
+            # u = v + u_p at the interior knots, from rows already evaluated
+            interior_u = rows[nb:] @ lam + kernel.phi_hat(knots.distances[nb:]) @ alpha
+    else:
+        alpha_u = fit_lu.solve(rhs_u)
+        b = u_interp.matrix                   # phi_hat at the knots
+        system = np.hstack([rows, b @ alpha_u])
+        system[nb:, nb:] -= np.eye(knots.n_interior)
+        z, coll_lu = _solve_stage(system, np.concatenate([rhs_h, -b[nb:] @ alpha]),
+                                  knots, frm_k, "collocation")
+        lam, interior_u = z[:nb], z[nb:]
+        fit = replace(fit, alpha=alpha + alpha_u @ interior_u)
 
-    records = tuple(r for r in (fit_rec, rec) if r is not None)
-    solution = BkmSolution(lam=lam, drm_fit=fit, general_solution=gs,
-                           knots=knots, diagnostics=records)
-    if knots.n_interior > 0:
-        # the interior rows of the knot distances are evaluate()'s distances
-        solution.interior_u = _field(solution, knots.distances[knots.n_boundary:])
-    return solution
+    records = tuple(lu.record() for lu in (fit_lu, u_interp, coll_lu)
+                    if lu is not None)
+    return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots,
+                       interior_u=interior_u, diagnostics=records)
 
 
 def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
@@ -195,10 +234,12 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
 
     With no remaining operator the scheme is the plain two-step solve, and
     interior knots (if any) only enrich the particular-solution fit. A
-    linear remaining operator couples nodal u-values into the right-hand
-    side and produces one combined system for the N boundary weights and
-    the L interior u-values (L may be zero); boundary u-values must then be
-    Dirichlet data.
+    linear remaining operator feeds nodal u-values into the fit's right-hand
+    side; boundary u-values must then be Dirichlet data. Without interior
+    knots this is still the plain two-step solve; with them, the interior
+    u-values join the boundary weights as unknowns of the collocation. A
+    linear rest adds a third factorisation, of the phi_hat matrix its images
+    are mapped through.
 
     ``frm_k`` truncates both systems to each row's k nearest knots and solves
     them by sparse LU, recording no diagnostics; it needs boundary knots only
@@ -211,60 +252,14 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
         raise ValueError("truncated (frm_k) solves do not support RhoLinear")
     if frm_k is not None and knots.n_interior > 0:
         raise ValueError("truncated (frm_k) solves need boundary knots only")
-    gs = helmholtz_general_solution(knots.dimension)
-    f = _drm_rhs(problem, knots)
-
-    if isinstance(problem.rho, RhoZero):
-        return _finish_two_step(problem, knots, kernel, f, gs, frm_k)
-
-    # linear remaining operator: nodal u-values feed back into the fit
-    if knots.dirichlet_count != knots.n_boundary:
-        raise ValueError("the coupled linear path requires Dirichlet data on "
-                         "the whole boundary: u is otherwise unknown at "
-                         "boundary knots")
-    if problem.dirichlet is None:
-        raise ValueError("Dirichlet data is required")
-    images = np.asarray(problem.rho.basis_images(knots, kernel), dtype=float)
-    # u is quasi-interpolated in the particular-solution basis, so the
-    # operator images pair with the phi_hat interpolation matrix
-    b_hat = kernel.phi_hat(knots.distances)
-    b_factored = FactoredMatrix(b_hat, label="u-interpolation")
-    coupling = apply_operator_coupling(b_factored, images)
-    d_boundary = np.asarray(problem.dirichlet(knots.boundary_positions), dtype=float)
-    return _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling,
-                          d_boundary)
-
-
-def _solve_coupled(knots, kernel, gs, f, b_factored, b_hat, coupling, d_boundary):
-    """Combined solve for [lambda; interior u] under a linear remaining operator."""
-    nb, ni = knots.n_boundary, knots.n_interior
-    matrix = FactoredMatrix(build_interpolation_matrix(knots, kernel),
-                            label="particular-fit")
-    # particular-solution values at knots as a linear map of the fitted rhs
-    lift = matrix.solve(b_hat).T          # phi_hat-matrix times A^{-1}
-    records = [matrix.record(), b_factored.record()]
-
-    g = lift @ coupling                   # nodal u -> u_p contribution at knots
-    up_f = lift @ f                       # forcing contribution to u_p at knots
-
-    h = assemble_homogeneous_rows(knots, gs)
-    system = np.zeros((nb + ni, nb + ni))
-    system[:, :nb] = h
-    system[:, nb:] = g[:, nb:]
-    system[nb:, nb:] -= np.eye(ni)
-    rhs = -up_f - g[:, :nb] @ d_boundary
-    rhs[:nb] += d_boundary
-
-    z, rec = solve_checked(system, rhs, label="collocation")
-    records.append(rec)
-    lam, interior_u = z[:nb], z[nb:]
-
-    u_nodes = np.concatenate([d_boundary, interior_u])
-    alpha = matrix.solve(f + coupling @ u_nodes)
-    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots, condition=matrix.condition)
-    return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots,
-                       interior_u=interior_u if ni > 0 else None,
-                       diagnostics=tuple(records))
+    if isinstance(problem.rho, RhoLinear):
+        if knots.dirichlet_count != knots.n_boundary:
+            raise ValueError("a linear remaining operator requires Dirichlet "
+                             "data on the whole boundary: u is otherwise "
+                             "unknown at boundary knots")
+        if problem.dirichlet is None:
+            raise ValueError("Dirichlet data is required")
+    return _finish_two_step(problem, knots, kernel, frm_k)
 
 
 def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
@@ -288,24 +283,18 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
     if not isinstance(problem.rho, RhoBoundaryNonlinear):
         raise ValueError("problem.rho must be RhoBoundaryNonlinear for this path")
 
-    gs = helmholtz_general_solution(knots.dimension)
-    return _finish_two_step(problem, knots, kernel, _drm_rhs(problem, knots),
-                            gs, frm_k)
+    return _finish_two_step(problem, knots, kernel, frm_k)
 
 
 def evaluate(solution: BkmSolution, x):
     """Field value u = v + u_p at a point or an (m, d) array of points."""
     knots = solution.knots
     pts, scalar = _points_array(x, knots.dimension)
-    u = _field(solution, pairwise_distances(pts, knots.all_positions))
-    return float(u[0]) if scalar else u
-
-
-def _field(solution: BkmSolution, r: np.ndarray) -> np.ndarray:
-    """u = v + u_p at the points whose distances to all knots are the rows of r."""
+    r = pairwise_distances(pts, knots.all_positions)
     fit = solution.drm_fit
-    v = solution.general_solution.value(r[:, :solution.knots.n_boundary]) @ solution.lam
-    return v + fit.kernel.phi_hat(r) @ fit.alpha
+    u = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam \
+        + fit.kernel.phi_hat(r) @ fit.alpha
+    return float(u[0]) if scalar else u
 
 
 def evaluate_homogeneous(solution: BkmSolution, x):

@@ -19,7 +19,7 @@ def mq_system(n, c=1.0, seed=1):
     return ks, matrix, rhs
 
 
-def truncation_oracle(knots, k, symmetrize=False):
+def truncation_oracle(knots, k):
     """Reference pattern: a stable argsort of each row's distances."""
     pts = knots.all_positions
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -27,8 +27,6 @@ def truncation_oracle(knots, k, symmetrize=False):
     for i in range(len(pts)):
         order = np.argsort(dists[i], kind="stable")   # stable sort: ties by index
         keep[i, order[:k]] = True
-    if symmetrize:
-        keep |= keep.T
     return keep
 
 
@@ -61,18 +59,15 @@ def test_truncation_matches_stable_argsort_oracle(make_knots):
     matrix = np.where(rng.random((n, n)) < 1 / 3, 0.0, rng.standard_normal((n, n)))
     ties = 0
     for k in range(1, n + 1):
-        for symmetrize in (False, True):
-            sparse = truncate_system(matrix, np.ones(n), ks, k, symmetrize=symmetrize)
-            expected = truncation_oracle(ks, k, symmetrize)
-            coo = sparse.matrix.tocoo()
-            pattern = np.zeros((n, n), dtype=bool)
-            pattern[coo.row, coo.col] = True
-            np.testing.assert_array_equal(pattern, expected)
-            assert coo.nnz == expected.sum()
-            assert coo.data.tobytes() == matrix[coo.row, coo.col].tobytes()
-            if not symmetrize:
-                assert sparse.matrix.nnz == n * k
-                np.testing.assert_array_equal(np.diff(sparse.matrix.indptr), k)
+        sparse = truncate_system(matrix, np.ones(n), ks, k)
+        expected = truncation_oracle(ks, k)
+        coo = sparse.matrix.tocoo()
+        pattern = np.zeros((n, n), dtype=bool)
+        pattern[coo.row, coo.col] = True
+        np.testing.assert_array_equal(pattern, expected)
+        assert coo.nnz == expected.sum() == n * k
+        assert coo.data.tobytes() == matrix[coo.row, coo.col].tobytes()
+        np.testing.assert_array_equal(np.diff(sparse.matrix.indptr), k)
         kth = np.sort(ks.distances, axis=1)[:, k - 1:k]
         ties += np.count_nonzero(np.count_nonzero(ks.distances <= kth, axis=1) > k)
     if make_knots is not scattered_knots:
@@ -125,7 +120,7 @@ def test_sparsity_bound():
         assert np.all(per_row <= k)
 
 
-def test_pattern_generally_asymmetric_until_symmetrized():
+def test_pattern_generally_asymmetric():
     rng = np.random.default_rng(4)
     pos = rng.uniform([-2, -1], [2, 1], size=(14, 2))
     normals = np.tile([1.0, 0.0], (14, 1))
@@ -135,10 +130,6 @@ def test_pattern_generally_asymmetric_until_symmetrized():
     plain = truncate_system(matrix, np.zeros(14), ks, 4)
     pat = (plain.matrix.toarray() != 0)
     assert not np.array_equal(pat, pat.T)     # scattered knots: asymmetric
-    sym = truncate_system(matrix, np.zeros(14), ks, 4, symmetrize=True)
-    pat_sym = (sym.matrix.toarray() != 0)
-    np.testing.assert_array_equal(pat_sym, pat_sym.T)
-    assert pat_sym.sum() >= pat.sum()
 
 
 def test_truncate_validation():

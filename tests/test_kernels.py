@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -132,6 +133,20 @@ def test_sinc_taylor_branch_matches_direct_formula():
     gs = helmholtz_general_solution(3)
     for r in (0.2e-4, 0.9e-4, 1.1e-4, 2e-4):
         assert gs.value(r) == pytest.approx(np.sin(r) / r, abs=1e-14)
+
+
+def test_3d_general_solution_matches_mpmath_near_the_origin():
+    # (r cos r - sin r) / r^2 cancels as r -> 0; the derivative must not lose
+    # the digits that cancel
+    gs = helmholtz_general_solution(3)
+    r = np.geomspace(1e-6, 2.0, 201)
+    with mp.workdps(40):
+        value = np.array([float(mp.sin(x) / x) for x in r])
+        deriv = np.array([float((x * mp.cos(x) - mp.sin(x)) / mp.mpf(x) ** 2)
+                          for x in r])
+    assert np.max(np.abs(gs.value(r) - value) / value) <= 1e-15
+    got = gs.normal_derivative(r, 1.0)
+    assert np.max(np.abs(got - deriv) / np.abs(deriv)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

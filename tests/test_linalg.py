@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from bkm import _linalg, solver
 from bkm._linalg import FactoredMatrix
 from bkm.bench import run_case, table2_case
+from bkm.drm import evaluate_particular
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, ellipse_knots
 from bkm.kernels import _validated_radius, mq_pair
@@ -99,15 +100,19 @@ def test_validated_radius_accepts_empty_and_zero():
 
 
 def test_evaluate_rejects_non_finite_query_points():
-    # (m, d) query arrays reach the kernels unchecked, so the radius
-    # validation is what refuses them
+    # (m, d) query arrays are refused before any distance is computed, also
+    # by the component evaluators, whose kernels validate nothing
     e = Ellipse(np.zeros(2), 2.0, 1.0)
     problem = ProblemSpec(forcing=lambda p: p[:, 0],
                           dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0])
     solution = solve_linear(problem, ellipse_knots(e, 7), mq_pair(3.0))
-    for bad in ([[np.nan, 0.0]], [[0.0, np.inf]]):
-        with pytest.raises(ValueError, match="must be finite"):
-            solver.evaluate(solution, bad)
+    evaluators = (solver.evaluate, solver.evaluate_homogeneous,
+                  lambda sol, x: evaluate_particular(sol.drm_fit, x))
+    for evaluator in evaluators:
+        for bad in ([[np.nan, 0.0]], [[0.0, np.inf]],
+                    [[np.nan, 0.0], [0.5, 0.1]], [[0.5, 0.1], [0.0, -np.inf]]):
+            with pytest.raises(ValueError, match="point coordinates must be finite"):
+                evaluator(solution, bad)
 
 
 def test_refinement_reduces_both_table2_residuals(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bkm.drm import evaluate_particular
+from bkm.drm import build_interpolation_matrix, evaluate_particular
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
 from bkm.kernels import bessel_j0, bessel_j1, helmholtz_general_solution, mq_pair
@@ -253,29 +254,24 @@ def test_coupled_zero_images_match_plain_path():
 
 
 def test_coupled_boundary_only_zero_images_match_plain_path():
-    # with no interior knots the coupled route is the only RhoLinear route;
-    # zero images leave the plain two-step solve, up to LU round-off
+    # with no interior knots the fit does not depend on interior values, so
+    # zero images leave exactly the plain two-step arithmetic
     problem_zero = helmholtz_problem()
     problem_coupled = ProblemSpec(forcing=problem_zero.forcing,
                                   dirichlet=problem_zero.dirichlet,
                                   rho=RhoLinear(lambda k, kr: np.zeros((k.size, k.size))),
                                   geometry=ELL1)
-    n = 10
-    ks = ellipse_knots(ELL1, n)
+    ks = ellipse_knots(ELL1, 10)
     s0 = solve_linear(problem_zero, ks, mq_pair(3.0))
     s1 = solve_linear(problem_coupled, ks, mq_pair(3.0))
     assert [rec.label for rec in s1.diagnostics] == \
         ["particular-fit", "u-interpolation", "collocation"]
     assert s1.interior_u is None
-    cond_fit, cond_coll = (rec.condition for rec in s0.diagnostics)
-    gamma = n * np.finfo(float).eps
-    alpha = s0.drm_fit.alpha
-    assert np.max(np.abs(s1.drm_fit.alpha - alpha)) <= \
-        2 * cond_fit * gamma * np.max(np.abs(alpha))
+    assert [s1.diagnostics[0], s1.diagnostics[2]] == list(s0.diagnostics)
+    np.testing.assert_array_equal(s1.lam, s0.lam)
+    np.testing.assert_array_equal(s1.drm_fit.alpha, s0.drm_fit.alpha)
     pts = np.vstack([ks.boundary_positions, interior_points(ELL1, 20, seed=4)])
-    u = evaluate(s0, pts)
-    assert np.max(np.abs(evaluate(s1, pts) - u)) <= \
-        2 * (cond_fit + cond_coll) * gamma * np.max(np.abs(u))
+    np.testing.assert_array_equal(evaluate(s1, pts), evaluate(s0, pts))
 
 
 def test_coupled_boundary_only_meets_dirichlet_data():
@@ -287,6 +283,53 @@ def test_coupled_boundary_only_meets_dirichlet_data():
     assert sol.interior_u is None
     np.testing.assert_allclose(evaluate(sol, ks.boundary_positions),
                                exact(ks.boundary_positions), atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(1.0, 3.0), aspect=st.floats(0.4, 1.0),
+       n_boundary=st.integers(6, 14), n_interior=st.integers(0, 6),
+       c=st.floats(0.5, 3.0), beta=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_linear_rest_solution_meets_its_equations(a, aspect, n_boundary,
+                                                  n_interior, c, beta, seed):
+    # rho{u} = beta u: laplacian u + u = x - beta u* + beta u, u* = sin x + x
+    ell = Ellipse(np.zeros(2), a, a * aspect)
+    ks = ellipse_knots(ell, n_boundary)
+    if n_interior:
+        ks = ks.with_interior(interior_points(ell, n_interior, seed, shrink=0.8))
+    exact = helmholtz_problem().exact
+    problem = ProblemSpec(
+        forcing=lambda p: p[:, 0] - beta * exact(p), dirichlet=exact,
+        rho=RhoLinear(lambda k, kernel: beta * kernel.phi_hat(k.distances)),
+        geometry=ell)
+    kernel = mq_pair(c)
+    try:
+        sol = solve_linear(problem, ks, kernel)
+    except IllConditionedError:
+        return
+    assert [rec.label for rec in sol.diagnostics] == \
+        ["particular-fit", "u-interpolation", "collocation"]
+    # u at the knots sums these terms; round-off is bounded relative to them
+    r = ks.distances
+    scale = np.max(np.abs(bessel_j0(r[:, :n_boundary])) @ np.abs(sol.lam)
+                   + np.abs(kernel.phi_hat(r)) @ np.abs(sol.drm_fit.alpha))
+    cond = max(rec.condition for rec in sol.diagnostics)
+    bound = cond * np.finfo(float).eps * scale
+    data = exact(ks.boundary_positions)
+    assert np.max(np.abs(evaluate(sol, ks.boundary_positions) - data)) <= bound
+    if n_interior:
+        assert np.max(np.abs(evaluate(sol, ks.interior) - sol.interior_u)) <= bound
+    else:
+        assert sol.interior_u is None
+    # and the fit interpolates f + beta u at the knots
+    u = np.concatenate([data, sol.interior_u if n_interior else []])
+    f = problem.forcing(ks.all_positions)
+    fit_matrix = build_interpolation_matrix(ks, kernel)
+    alpha = sol.drm_fit.alpha
+    fit_scale = np.max(np.abs(fit_matrix) @ np.abs(alpha) + np.abs(f)
+                       + abs(beta) * np.abs(u))
+    assert np.max(np.abs(fit_matrix @ alpha - f - beta * u)) <= \
+        cond * np.finfo(float).eps * fit_scale
 
 
 @pytest.mark.parametrize("n_interior", [0, 3])

@@ -14,6 +14,8 @@ from bkm import (Ellipse, build_interpolation_matrix, ellipse_knots, mq_pair,
 ellipse = Ellipse(np.zeros(2), 2.0, 1.0)
 knots = ellipse_knots(ellipse, 50)
 pair = mq_pair(1.0)
+# the dense matrix is formed once here and truncated at several k; the
+# solver's frm_k route evaluates the kernels at the N k kept pairs only
 matrix = build_interpolation_matrix(knots, pair)
 
 bp = knots.boundary_positions

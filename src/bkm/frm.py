@@ -37,41 +37,44 @@ class SparseSystem:
 
 
 def truncate_system(matrix, rhs, knots: KnotSet, k: int) -> SparseSystem:
-    """Keep, per row of ``matrix``, only the entries of the k nearest knots
-    (self included); ``rhs`` is carried over unchanged.
+    """Keep, per row, only the entries of the k nearest knots (self
+    included); ``rhs`` is carried over unchanged.
 
-    Distances are those of :attr:`KnotSet.distances`; ties at the k-th
-    distance break towards the lower knot index, as a stable sort of each
-    row would. Dropped entries are removed outright, with no decay
-    weighting, so kept entries are bit-identical to the dense ones and every
-    row keeps exactly k of them, zeros included (nnz = N k).
+    ``matrix`` is the dense (N, N) array, or a function ``entries(rows,
+    cols)`` that returns the system's entries at the given index pairs (rows
+    ascending, columns ascending within a row). Either way the entries are
+    taken at the kept pairs only, so the solver, which passes a function,
+    evaluates its kernels on N k pairs and forms no dense matrix.
 
-    Cost: one O(N^2) partition of the distance matrix plus a short stable
-    sort for each row with a tie at its k-th distance; memory is the dense
-    matrix and one N x N boolean mask.
+    The pattern is :meth:`KnotSet.neighbours`: ties at the k-th distance
+    break towards the lower knot index, as a stable sort of each row would.
+    Dropped entries are removed outright, with no decay weighting, so kept
+    entries are bit-identical to the dense ones and every row keeps exactly
+    k of them, zeros included (nnz = N k).
+
+    Cost/memory: the entries and the CSR matrix are O(N k). The pattern is
+    one O(N^2) partition of :attr:`KnotSet.distances` (an N x N copy and an
+    N x N boolean mask) per knot set and k, kept on the knot set, so both
+    systems of a solve share it. A dense ``matrix`` brings its own N^2
+    entries. In a truncated solve what stays O(N^2) is the distance matrix,
+    that one partition, and the dense ``phi_hat`` block the solver needs
+    for ``u_p`` at the knots, which is global.
     """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"dense matrix must be square, got {a.shape}")
-    if knots.size != n:
-        raise ValueError(f"knot count {knots.size} does not match system size {n}")
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"neighbour count must satisfy 1 <= k <= {n}, got {k}")
+    n, k = knots.size, int(k)
+    if callable(matrix):
+        entries = matrix
+    else:
+        a = np.asarray(matrix, dtype=float)
+        if a.shape != (n, n):
+            raise ValueError(f"dense matrix of shape {a.shape} does not match "
+                             f"the {n} knots")
 
-    dists = knots.distances
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    keep = dists <= kth
-    for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
-        # ties at the k-th distance: the candidates are in index order, so a
-        # stable sort of them keeps the lower indices
-        tied = np.flatnonzero(keep[i])
-        keep[i, tied[np.argsort(dists[i, tied], kind="stable")[k:]]] = False
+        def entries(rows, cols):
+            return a[rows, cols]
 
-    rows, cols = np.nonzero(keep)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    sparse = sp.csr_matrix((a[rows, cols], cols, indptr), shape=(n, n))
+    indices, indptr = knots.neighbours(k)
+    rows = np.repeat(np.arange(n), k)
+    sparse = sp.csr_matrix((entries(rows, indices), indices, indptr), shape=(n, n))
     return SparseSystem(matrix=sparse, rhs=np.asarray(rhs, dtype=float), k=k)
 
 

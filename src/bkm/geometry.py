@@ -7,6 +7,7 @@ operations are pure.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +118,8 @@ class KnotSet:
             if not np.isfinite(ip).all():
                 raise ValueError("interior coordinates must be finite")
 
-        dc = bp.shape[0] if dirichlet_count is None else int(dirichlet_count)
-        if not 0 <= dc <= bp.shape[0]:
-            raise ValueError("dirichlet_count out of range")
+        dc = bp.shape[0] if dirichlet_count is None else \
+            _checked_dirichlet_count(dirichlet_count, bp.shape[0])
 
         allp = np.concatenate((bp, ip))
         dists = pairwise_distances(allp, allp)
@@ -133,6 +133,7 @@ class KnotSet:
         self._all = allp
         self._distances = dists
         self._dirichlet_count = dc
+        self._neighbours = {}      # k -> (indices, indptr), see neighbours()
 
     @property
     def boundary_positions(self) -> np.ndarray:
@@ -155,6 +156,26 @@ class KnotSet:
     def distances(self) -> np.ndarray:
         """Read-only knot-to-knot distances over :attr:`all_positions`, (N+L, N+L)."""
         return self._distances
+
+    def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each knot's k nearest knots (self included) as a read-only CSR
+        pattern ``(indices, indptr)``: row i keeps the columns
+        ``indices[indptr[i]:indptr[i + 1]]``, ascending, exactly k of them.
+
+        Distances are :attr:`distances`; ties at the k-th distance break
+        towards the lower knot index, as a stable sort of each row would.
+        The pattern is computed once per k and kept: one O(N^2) partition of
+        the distance matrix, plus a short stable sort for each row with a tie
+        at its k-th distance.
+        """
+        k = int(k)
+        if not 1 <= k <= self.size:
+            raise ValueError(
+                f"neighbour count must satisfy 1 <= k <= {self.size}, got {k}")
+        pattern = self._neighbours.get(k)
+        if pattern is None:
+            pattern = self._neighbours[k] = _nearest_neighbours(self._distances, k)
+        return pattern
 
     @property
     def dirichlet_count(self) -> int:
@@ -192,9 +213,14 @@ class KnotSet:
                        self._dirichlet_count, interior)
 
     def with_dirichlet_count(self, count: int) -> "KnotSet":
-        """Copy of this set with a different Dirichlet/Neumann partition."""
-        return KnotSet(self._boundary_positions, self._boundary_normals,
-                       count, self._interior)
+        """Copy of this set with a different Dirichlet/Neumann partition.
+
+        No knot moves, so the copy shares this set's frozen arrays, distance
+        matrix and neighbour patterns, and needs no coincidence check.
+        """
+        twin = copy.copy(self)
+        twin._dirichlet_count = _checked_dirichlet_count(count, self.n_boundary)
+        return twin
 
     def __repr__(self):
         return (f"KnotSet(n_boundary={self.n_boundary}, "
@@ -221,12 +247,46 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
 
 
 def _normal_projections(points, normals, sources, r):
-    """dr/dn = ((x_i - s_j) . n_i) / r_ij, 0 where point and source coincide."""
-    diff = points[:, None, :] - sources[None, :, :]
+    """dr/dn = ((x - s) . n) / r, 0 where point and source coincide.
+
+    With an (m, n) block ``r``, ``points`` and ``normals`` are (m, d) and
+    ``sources`` is (n, d): every point against every source. With p index
+    pairs, ``r`` is (p,) and all three are (p, d), already gathered per pair;
+    each entry then equals the block's entry for the same pair.
+    """
+    if r.ndim == 2:
+        dots = np.einsum("ijk,ik->ij", points[:, None, :] - sources[None, :, :],
+                         normals)
+    else:
+        dots = np.einsum("ik,ik->i", points - sources, normals)
     proj = np.zeros_like(r)
     ok = r > COINCIDENT_TOL
-    proj[ok] = np.einsum("ijk,ik->ij", diff, normals)[ok] / r[ok]
+    proj[ok] = dots[ok] / r[ok]
     return proj
+
+
+def _nearest_neighbours(dists: np.ndarray, k: int):
+    """CSR ``(indices, indptr)`` of each row's k smallest distances, ties to
+    the lower column index; see :meth:`KnotSet.neighbours`."""
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    keep = dists <= kth
+    for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
+        # ties at the k-th distance: the candidates are in index order, so a
+        # stable sort of them keeps the lower indices
+        tied = np.flatnonzero(keep[i])
+        keep[i, tied[np.argsort(dists[i, tied], kind="stable")[k:]]] = False
+    indices = np.nonzero(keep)[1]
+    indptr = np.arange(0, indices.size + 1, k)
+    for arr in (indices, indptr):
+        arr.setflags(write=False)
+    return indices, indptr
+
+
+def _checked_dirichlet_count(count, n_boundary: int) -> int:
+    count = int(count)
+    if not 0 <= count <= n_boundary:
+        raise ValueError("dirichlet_count out of range")
+    return count
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ collocation as unknowns. Each solution records one :class:`SolveRecord` per
 dense factorisation, which is how tests assert the single-solve property.
 
 The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
-systems are truncated to k nearest neighbours and solved by sparse LU.
+systems are truncated to k nearest neighbours, their kernels evaluated at
+the kept pairs only, and solved by sparse LU.
 """
 from __future__ import annotations
 
@@ -179,14 +180,32 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
     return rhs + coupling[:, :nb] @ u_b, rhs_u, u_interp
 
 
-def _solve_stage(matrix, rhs, knots, frm_k, label):
-    """Dense checked LU, returning the solution and the factorisation, or with
-    ``frm_k`` the sparse LU of the system truncated to each row's k nearest
-    knots, which keeps no factorisation."""
+def _collocation_entries(knots: KnotSet, gs: GeneralSolution, rows, cols):
+    """Entries of :func:`assemble_homogeneous_rows` at boundary index pairs,
+    ``rows`` ascending: basis values on Dirichlet rows, normal derivatives
+    on Neumann rows, each equal to the dense entry for the same pair."""
+    r = knots.distances[rows, cols]
+    split = np.searchsorted(rows, knots.dirichlet_count)   # Dirichlet rows first
+    out = np.empty_like(r)
+    out[:split] = gs.value(r[:split])
+    if split < r.size:
+        i, j, rn = rows[split:], cols[split:], r[split:]
+        sources = knots.boundary_positions
+        proj = _normal_projections(sources[i], knots.boundary_normals[i],
+                                   sources[j], rn)
+        out[split:] = gs.normal_derivative(rn, proj)
+    return out
+
+
+def _solve_stage(dense, entries, rhs, knots, frm_k, label):
+    """Dense checked LU of ``dense()``, returning the solution and the
+    factorisation; or, with ``frm_k``, the sparse LU of the system truncated
+    to each row's k nearest knots, assembled from ``entries(rows, cols)`` at
+    the kept pairs only, which keeps no factorisation."""
     if frm_k is None:
-        lu = FactoredMatrix(matrix, label=label)
+        lu = FactoredMatrix(dense(), label=label)
         return lu.solve(rhs), lu
-    return solve_sparse(truncate_system(matrix, rhs, knots, frm_k)), None
+    return solve_sparse(truncate_system(entries, rhs, knots, frm_k)), None
 
 
 def _finish_two_step(problem, knots, kernel, frm_k=None):
@@ -200,25 +219,32 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     nb = knots.n_boundary
     gs = helmholtz_general_solution(knots.dimension)
     rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel)
-    alpha, fit_lu = _solve_stage(build_interpolation_matrix(knots, kernel), rhs,
-                                 knots, frm_k, "particular-fit")
+    alpha, fit_lu = _solve_stage(
+        lambda: build_interpolation_matrix(knots, kernel),
+        lambda i, j: kernel.phi(knots.distances[i, j], dimension=knots.dimension),
+        rhs, knots, frm_k, "particular-fit")
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
                  condition=None if fit_lu is None else fit_lu.condition)
-    rows = assemble_homogeneous_rows(knots, gs)
     rhs_h = _boundary_rhs(problem, knots, fit)
     interior_u = None
     if rhs_u is None:
-        lam, coll_lu = _solve_stage(rows[:nb], rhs_h, knots, frm_k, "collocation")
+        # a truncated solve has boundary knots only and needs no dense rows
+        rows = assemble_homogeneous_rows(knots, gs) if frm_k is None else None
+        lam, coll_lu = _solve_stage(
+            lambda: rows[:nb], lambda i, j: _collocation_entries(knots, gs, i, j),
+            rhs_h, knots, frm_k, "collocation")
         if knots.n_interior > 0:
             # u = v + u_p at the interior knots, from rows already evaluated
             interior_u = rows[nb:] @ lam + kernel.phi_hat(knots.distances[nb:]) @ alpha
     else:
+        # dense only: solve_* refuse frm_k with a linear rest
+        rows = assemble_homogeneous_rows(knots, gs)
         alpha_u = fit_lu.solve(rhs_u)
         b = u_interp.matrix                   # phi_hat at the knots
         system = np.hstack([rows, b @ alpha_u])
         system[nb:, nb:] -= np.eye(knots.n_interior)
-        z, coll_lu = _solve_stage(system, np.concatenate([rhs_h, -b[nb:] @ alpha]),
-                                  knots, frm_k, "collocation")
+        coll_lu = FactoredMatrix(system, label="collocation")
+        z = coll_lu.solve(np.concatenate([rhs_h, -b[nb:] @ alpha]))
         lam, interior_u = z[:nb], z[nb:]
         fit = replace(fit, alpha=alpha + alpha_u @ interior_u)
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import bkm.geometry
+import bkm.solver
 from bkm._linalg import solve_checked
 from bkm.drm import build_interpolation_matrix
-from bkm.errors import IllConditionedError
+from bkm.errors import BkmError, IllConditionedError
 from bkm.frm import SparseSystem, solve_sparse, truncate_system
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
-from bkm.kernels import mq_pair
+from bkm.kernels import helmholtz_general_solution, mq_pair
+from bkm.solver import ProblemSpec, assemble_homogeneous_rows, solve_linear
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -72,6 +75,64 @@ def test_truncation_matches_stable_argsort_oracle(make_knots):
         ties += np.count_nonzero(np.count_nonzero(ks.distances <= kth, axis=1) > k)
     if make_knots is not scattered_knots:
         assert ties > n        # the tie rule is exercised, not just present
+
+
+def ellipse_dirichlet_knots():
+    return ellipse_knots(ELL, 12)
+
+
+def ellipse_mixed_knots():
+    return ellipse_knots(ELL, 13).with_dirichlet_count(6)
+
+
+def octagon_mixed_knots():
+    return octagon_knots().with_dirichlet_count(5)
+
+
+@pytest.mark.parametrize("make_knots", [ellipse_dirichlet_knots, ellipse_mixed_knots,
+                                        octagon_knots, octagon_mixed_knots,
+                                        grid_knots])
+def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
+    # the solver evaluates its kernels at the kept pairs only; both systems
+    # must be, bit for bit, the dense matrices truncated by truncate_system
+    selections, systems = [], []
+    select = bkm.geometry._nearest_neighbours
+
+    def counted_select(dists, k):
+        selections.append(k)
+        return select(dists, k)
+
+    def recorded_truncate(*args):
+        systems.append(truncate_system(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(bkm.geometry, "_nearest_neighbours", counted_select)
+    monkeypatch.setattr(bkm.solver, "truncate_system", recorded_truncate)
+    problem = ProblemSpec(forcing=lambda p: p[:, 0],
+                          dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
+                          neumann=lambda p: np.cos(p[:, 0]) + 1.0)
+    kernel = mq_pair(1.5)
+    n = make_knots().size
+    for k in sorted({1, n // 2, n}):
+        ks = make_knots()
+        selections.clear()
+        systems.clear()
+        try:
+            solve_linear(problem, ks, kernel, frm_k=k)
+        except (BkmError, np.linalg.LinAlgError):
+            pass            # a singular truncation (k = 1 on Neumann rows)
+        assert selections == [k]          # one neighbour search per solve
+        dense = (build_interpolation_matrix(ks, kernel),
+                 assemble_homogeneous_rows(ks, helmholtz_general_solution(2)))
+        assert len(systems) == 2
+        for system, matrix in zip(systems, dense):
+            expected = truncate_system(matrix, system.rhs, ks, k)
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(system.matrix, name), getattr(expected.matrix, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), name
+            assert system.matrix.nnz == n * k
+        assert selections == [k]          # the oracle reused the pattern
 
 
 def test_full_truncation_equals_dense_entries():

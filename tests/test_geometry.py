@@ -141,6 +141,34 @@ def test_knotset_ordering_and_partition():
     assert mixed.neumann_count == 2
 
 
+def test_with_dirichlet_count_shares_arrays_and_checks_range():
+    base = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 6) \
+        .with_interior(np.array([[0.1, 0.2]]))
+    mixed = base.with_dirichlet_count(4)
+    assert (mixed.dirichlet_count, base.dirichlet_count) == (4, 6)
+    for name in ("distances", "all_positions", "boundary_positions",
+                 "boundary_normals", "interior"):
+        assert getattr(mixed, name) is getattr(base, name)
+    assert mixed.neighbours(3) is base.neighbours(3)
+    for bad in (-1, 7):      # 7 = knot count, one past the boundary knots
+        with pytest.raises(ValueError, match="dirichlet_count out of range"):
+            base.with_dirichlet_count(bad)
+
+
+def test_neighbours_pattern_is_kept_and_read_only():
+    ks = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 7)
+    indices, indptr = ks.neighbours(3)
+    assert ks.neighbours(3) is ks.neighbours(3)
+    np.testing.assert_array_equal(indptr, np.arange(0, 22, 3))
+    np.testing.assert_array_equal(indices[:3], [0, 1, 6])
+    for arr in (indices, indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    for bad in (0, 8):
+        with pytest.raises(ValueError, match="neighbour count"):
+            ks.neighbours(bad)
+
+
 @given(point_set_pairs())
 def test_pairwise_distances_bit_identical_to_norm(pair):
     a, b = pair

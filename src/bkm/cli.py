@@ -165,32 +165,34 @@ def parse_problem_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "dimension":
-                if int(value) != 2:
-                    raise ValueError(f"{path}:{lineno}: dimension must be 2: "
-                                     f"the domain is an ellipse, got {value}")
-            elif key == "ellipse":
-                parts = [float(v) for v in value.split()]
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: ellipse needs 'cx cy a b'")
-                parsed["ellipse"] = Ellipse(np.array(parts[:2]), parts[2], parts[3])
-            elif key in ("forcing", "dirichlet"):
-                if value not in BUILTIN_FUNCTIONS:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown function {value!r}; "
-                        f"builtins: {sorted(BUILTIN_FUNCTIONS)}")
-                parsed[key] = BUILTIN_FUNCTIONS[value]
-            elif key == "knots":
-                parsed["knots"] = int(value)
-            elif key == "c":
-                parsed["c"] = float(value)
-            elif key == "eval":
-                parts = [float(v) for v in value.split()]
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: eval needs 'x y'")
-                parsed["eval"].append(parts)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:                 # every error, bad numbers too, names the line
+                if key == "dimension":
+                    if int(value) != 2:
+                        raise ValueError("dimension must be 2: the domain is "
+                                         f"an ellipse, got {value}")
+                elif key == "ellipse":
+                    parts = [float(v) for v in value.split()]
+                    if len(parts) != 4:
+                        raise ValueError("ellipse needs 'cx cy a b'")
+                    parsed["ellipse"] = Ellipse(np.array(parts[:2]), parts[2], parts[3])
+                elif key in ("forcing", "dirichlet"):
+                    if value not in BUILTIN_FUNCTIONS:
+                        raise ValueError(f"unknown function {value!r}; "
+                                         f"builtins: {sorted(BUILTIN_FUNCTIONS)}")
+                    parsed[key] = BUILTIN_FUNCTIONS[value]
+                elif key == "knots":
+                    parsed["knots"] = int(value)
+                elif key == "c":
+                    parsed["c"] = float(value)
+                elif key == "eval":
+                    parts = [float(v) for v in value.split()]
+                    if len(parts) != 2:
+                        raise ValueError("eval needs 'x y'")
+                    parsed["eval"].append(parts)
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     for required in ("ellipse", "forcing", "dirichlet", "knots", "c"):
         if parsed[required] is None:
             raise ValueError(f"{path}: missing required key {required!r}")

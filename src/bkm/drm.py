@@ -82,11 +82,11 @@ def evaluate_particular(fit: DrmFit, x):
 
 def evaluate_particular_normal(fit: DrmFit, x, n):
     """Directional derivative of the particular solution along unit vector n."""
-    p = as_point(x)[None, :]
+    p = as_point(x)
     sources = fit.knots.all_positions
-    r = pairwise_distances(p, sources)
-    proj = _normal_projections(p, as_point(n)[None, :], sources, r)
-    return float(fit.kernel.phi_hat_normal(r, proj)[0] @ fit.alpha)
+    r = pairwise_distances(p[None, :], sources)[0]
+    proj = _normal_projections(p, as_point(n), sources, r)
+    return float(fit.kernel.phi_hat_normal(r, proj) @ fit.alpha)
 
 
 def apply_operator_coupling(fit_matrix: FactoredMatrix, rho_applied_basis) -> np.ndarray:

@@ -249,16 +249,11 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
 def _normal_projections(points, normals, sources, r):
     """dr/dn = ((x - s) . n) / r, 0 where point and source coincide.
 
-    With an (m, n) block ``r``, ``points`` and ``normals`` are (m, d) and
-    ``sources`` is (n, d): every point against every source. With p index
-    pairs, ``r`` is (p,) and all three are (p, d), already gathered per pair;
-    each entry then equals the block's entry for the same pair.
+    ``points`` and ``normals`` broadcast against ``sources`` to ``r``'s shape
+    plus a coordinate axis: (m, 1, d) against (n, d) for an (m, n) block,
+    (p, d) against (p, d) for p gathered pairs; an entry is its pair's alone.
     """
-    if r.ndim == 2:
-        dots = np.einsum("ijk,ik->ij", points[:, None, :] - sources[None, :, :],
-                         normals)
-    else:
-        dots = np.einsum("ik,ik->i", points - sources, normals)
+    dots = np.einsum("...k,...k->...", points - sources, normals)
     proj = np.zeros_like(r)
     ok = r > COINCIDENT_TOL
     proj[ok] = dots[ok] / r[ok]
@@ -347,13 +342,7 @@ def normal_projection(x, source, n) -> float:
     x == source is 0; every kernel derivative used here carries a factor
     that vanishes with r, so the convention matches the analytic limits.
     """
-    p = as_point(x)
-    s = as_point(source)
-    d = as_point(n)
+    p, s, d = as_point(x), as_point(source), as_point(n)
     if not p.size == s.size == d.size:
         raise ValueError("x, source and n must share a dimension")
-    diff = p - s
-    r = np.linalg.norm(diff)
-    if r <= COINCIDENT_TOL:
-        return 0.0
-    return float(diff @ d / r)
+    return float(_normal_projections(p, d, s, np.linalg.norm(p - s)))

@@ -14,6 +14,10 @@ right-hand side is affine in the interior u-values, which join the
 collocation as unknowns. Each solution records one :class:`SolveRecord` per
 dense factorisation, which is how tests assert the single-solve property.
 
+One function applies the boundary operator (the value, or on Neumann rows
+the normal derivative) to J0 for the dense rows and the truncated entries,
+and to ``phi_hat`` for the data correction D - u_p, N - du_p/dn and u_p.
+
 The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
 systems are truncated to k nearest neighbours, their kernels evaluated at
 the kept pairs only, and solved by sparse LU.
@@ -106,6 +110,33 @@ class BkmSolution:
 # Assembly
 # ---------------------------------------------------------------------------
 
+def _boundary_operator(radial, knots: KnotSet, r, rows, cols):
+    """The boundary operator on a radial kernel ``(value, normal_derivative)``
+    at gathered knot distances ``r``: an (m, n) block, with ``rows`` its (m,)
+    knot indices and ``cols`` the slice of knots its columns span, or p index
+    pairs, all three (p,). ``rows`` ascend, so the Neumann rows (knots run
+    Dirichlet, Neumann, interior) are one run along axis 0: they take the
+    normal derivative at the row knot, every other entry the value."""
+    value, normal_derivative = radial
+    nd, nb = knots.dirichlet_count, knots.n_boundary
+    lo, hi = rows.searchsorted((nd, nb)).tolist() if nd < nb else (0, 0)
+    if lo == hi:
+        return value(r)
+    out = np.empty(r.shape)
+    for a, b in ((0, lo), (hi, len(r))):    # kernels only where they are kept
+        if a < b:
+            out[a:b] = value(r[a:b])
+    i = rows[lo:hi]
+    x, n = knots.all_positions[i], knots.boundary_normals[i]
+    if r.ndim == 2:     # (m, 1, d) row knots against (n, d) columns
+        x, n, j = x[:, None], n[:, None], cols
+    else:               # (p, d) against (p, d)
+        j = cols[lo:hi]
+    proj = _normal_projections(x, n, knots.all_positions[j], r[lo:hi])
+    out[lo:hi] = normal_derivative(r[lo:hi], proj)
+    return out
+
+
 def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray:
     """Collocation rows of the general-solution expansion.
 
@@ -114,16 +145,18 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray
     (appended after the boundary block) basis values again. Row order
     follows the knot ordering.
     """
-    nd, nb = knots.dirichlet_count, knots.n_boundary
-    sources = knots.boundary_positions
-    r = knots.distances[:, :nb]
-    rows = gs.value(r)
-    if nd < nb:
-        rn = r[nd:nb]
-        proj = _normal_projections(sources[nd:], knots.boundary_normals[nd:],
-                                   sources, rn)
-        rows[nd:nb] = gs.normal_derivative(rn, proj)
-    return rows
+    nb = knots.n_boundary
+    return _boundary_operator((gs.value, gs.normal_derivative), knots,
+                              knots.distances[:, :nb], np.arange(knots.size),
+                              np.s_[:nb])
+
+
+def _particular_operator(fit: DrmFit, rows: slice) -> np.ndarray:
+    """The boundary operator on u_p at the knots ``rows``."""
+    knots = fit.knots
+    return _boundary_operator((fit.kernel.phi_hat, fit.kernel.phi_hat_normal),
+                              knots, knots.distances[rows],
+                              np.arange(knots.size)[rows], np.s_[:]) @ fit.alpha
 
 
 def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarray:
@@ -132,23 +165,14 @@ def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarr
     ``fit`` must be the particular fit over ``knots``, whose distances it reuses.
     """
     nd, nb = knots.dirichlet_count, knots.n_boundary
-    rhs = np.empty(nb)
-    if nd > 0:
-        if problem.dirichlet is None:
-            raise ValueError("knots carry Dirichlet rows but no Dirichlet data was given")
-        up = fit.kernel.phi_hat(knots.distances[:nd]) @ fit.alpha
-        pts = knots.boundary_positions[:nd]
-        rhs[:nd] = np.asarray(problem.dirichlet(pts), dtype=float) - up
-    if nd < nb:
-        if problem.neumann is None:
-            raise ValueError("knots carry Neumann rows but no Neumann data was given")
-        pts = knots.boundary_positions[nd:]
-        rn = knots.distances[nd:nb]
-        proj = _normal_projections(pts, knots.boundary_normals[nd:],
-                                   knots.all_positions, rn)
-        up_n = fit.kernel.phi_hat_normal(rn, proj) @ fit.alpha
-        rhs[nd:] = np.asarray(problem.neumann(pts), dtype=float) - up_n
-    return rhs
+    data = np.empty(nb)
+    for lo, hi, kind, fn in ((0, nd, "Dirichlet", problem.dirichlet),
+                             (nd, nb, "Neumann", problem.neumann)):
+        if lo < hi:
+            if fn is None:
+                raise ValueError(f"knots carry {kind} rows but no {kind} data was given")
+            data[lo:hi] = fn(knots.boundary_positions[lo:hi])
+    return data - _particular_operator(fit, np.s_[:nb])
 
 
 def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
@@ -180,23 +204,6 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
     return rhs + coupling[:, :nb] @ u_b, rhs_u, u_interp
 
 
-def _collocation_entries(knots: KnotSet, gs: GeneralSolution, rows, cols):
-    """Entries of :func:`assemble_homogeneous_rows` at boundary index pairs,
-    ``rows`` ascending: basis values on Dirichlet rows, normal derivatives
-    on Neumann rows, each equal to the dense entry for the same pair."""
-    r = knots.distances[rows, cols]
-    split = np.searchsorted(rows, knots.dirichlet_count)   # Dirichlet rows first
-    out = np.empty_like(r)
-    out[:split] = gs.value(r[:split])
-    if split < r.size:
-        i, j, rn = rows[split:], cols[split:], r[split:]
-        sources = knots.boundary_positions
-        proj = _normal_projections(sources[i], knots.boundary_normals[i],
-                                   sources[j], rn)
-        out[split:] = gs.normal_derivative(rn, proj)
-    return out
-
-
 def _solve_stage(dense, entries, rhs, knots, frm_k, label):
     """Dense checked LU of ``dense()``, returning the solution and the
     factorisation; or, with ``frm_k``, the sparse LU of the system truncated
@@ -226,19 +233,20 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
                  condition=None if fit_lu is None else fit_lu.condition)
     rhs_h = _boundary_rhs(problem, knots, fit)
+    # a truncated solve has boundary knots only and needs no dense rows
+    rows = assemble_homogeneous_rows(knots, gs) if frm_k is None else None
     interior_u = None
     if rhs_u is None:
-        # a truncated solve has boundary knots only and needs no dense rows
-        rows = assemble_homogeneous_rows(knots, gs) if frm_k is None else None
         lam, coll_lu = _solve_stage(
-            lambda: rows[:nb], lambda i, j: _collocation_entries(knots, gs, i, j),
+            lambda: rows[:nb],
+            lambda i, j: _boundary_operator((gs.value, gs.normal_derivative), knots,
+                                            knots.distances[i, j], i, j),
             rhs_h, knots, frm_k, "collocation")
         if knots.n_interior > 0:
             # u = v + u_p at the interior knots, from rows already evaluated
-            interior_u = rows[nb:] @ lam + kernel.phi_hat(knots.distances[nb:]) @ alpha
+            interior_u = rows[nb:] @ lam + _particular_operator(fit, np.s_[nb:])
     else:
         # dense only: solve_* refuse frm_k with a linear rest
-        rows = assemble_homogeneous_rows(knots, gs)
         alpha_u = fit_lu.solve(rhs_u)
         b = u_interp.matrix                   # phi_hat at the knots
         system = np.hstack([rows, b @ alpha_u])

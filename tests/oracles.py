@@ -100,3 +100,12 @@ def interior_points(ellipse, count, seed, shrink=1.0):
         if ((p[0] - cx) / a) ** 2 + ((p[1] - cy) / b) ** 2 < shrink:
             points.append(p)
     return np.array(points)
+
+
+def fibonacci_sphere(n, radius=1.0):
+    """n near-uniform points on a sphere centred at the origin."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    t = np.pi * (1.0 + 5 ** 0.5) * i
+    rho = np.sqrt(1.0 - z * z)
+    return radius * np.column_stack([rho * np.cos(t), rho * np.sin(t), z])

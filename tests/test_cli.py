@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,10 @@ def test_solve_bad_problem_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 2
     assert "not_a_builtin" in err
+    path.write_text("knots = seven\n")
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert f"{path}:1: " in err and "seven" in err
 
 
 def test_parse_problem_file_grammar(tmp_path):
@@ -161,6 +167,15 @@ def test_parse_problem_file_grammar(tmp_path):
         bad = tmp_path / "q.txt"
         bad.write_text("knots 7\n")
         parse_problem_file(str(bad))
+    # a field that does not parse as a number names its file and line, as
+    # every other problem-file error does
+    for line, number in (("knots = 7", "seven"), ("c = 3", "abc"),
+                         ("ellipse = 0 0 2 1", "0 0 two 1"), ("eval = 1.5 0", "1.5 y")):
+        key = line.split(" = ")[0]
+        lineno = PROBLEM_FILE.splitlines().index(line) + 1
+        bad.write_text(PROBLEM_FILE.replace(line, f"{key} = {number}"))
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:{lineno}: ")):
+            parse_problem_file(str(bad))
 
 
 def test_builtin_functions_cover_benchmark_data():

@@ -10,6 +10,7 @@ from bkm.frm import SparseSystem, solve_sparse, truncate_system
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
 from bkm.kernels import helmholtz_general_solution, mq_pair
 from bkm.solver import ProblemSpec, assemble_homogeneous_rows, solve_linear
+from oracles import fibonacci_sphere
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -89,9 +90,15 @@ def octagon_mixed_knots():
     return octagon_knots().with_dirichlet_count(5)
 
 
+def sphere_mixed_knots():
+    # 3-d: the Neumann entries take the sin(r)/r derivative
+    pos = fibonacci_sphere(20)
+    return KnotSet(pos, pos).with_dirichlet_count(12)
+
+
 @pytest.mark.parametrize("make_knots", [ellipse_dirichlet_knots, ellipse_mixed_knots,
                                         octagon_knots, octagon_mixed_knots,
-                                        grid_knots])
+                                        grid_knots, sphere_mixed_knots])
 def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
     # the solver evaluates its kernels at the kept pairs only; both systems
     # must be, bit for bit, the dense matrices truncated by truncate_system
@@ -123,7 +130,7 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
             pass            # a singular truncation (k = 1 on Neumann rows)
         assert selections == [k]          # one neighbour search per solve
         dense = (build_interpolation_matrix(ks, kernel),
-                 assemble_homogeneous_rows(ks, helmholtz_general_solution(2)))
+                 assemble_homogeneous_rows(ks, helmholtz_general_solution(ks.dimension)))
         assert len(systems) == 2
         for system, matrix in zip(systems, dense):
             expected = truncate_system(matrix, system.rhs, ks, k)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkm.drm import build_interpolation_matrix, evaluate_particular
+from bkm.drm import (build_interpolation_matrix, evaluate_particular,
+                     evaluate_particular_normal)
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
 from bkm.kernels import bessel_j0, bessel_j1, helmholtz_general_solution, mq_pair
@@ -10,7 +11,7 @@ from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
                         solve_nonlinear_boundary_only)
-from oracles import fd_laplacian, interior_points
+from oracles import fd_laplacian, fibonacci_sphere, interior_points
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
@@ -169,6 +170,33 @@ def test_mixed_boundary_conditions():
     sol = solve_linear(problem, ks, mq_pair(3.0))
     pts = interior_points(ELL1, 30, seed=13)
     np.testing.assert_allclose(evaluate(sol, pts), ustar(pts), atol=1e-4)
+
+
+def test_neumann_rows_meet_their_data_with_forcing_and_interior_knots():
+    # laplacian u + u = x, u* = sin x + x: a non-zero u_p, so the Neumann
+    # rows are corrected by its normal derivative; interior knots enrich it
+    ks = ellipse_knots(ELL1, 12).with_dirichlet_count(6).with_interior(
+        interior_points(ELL1, 3, seed=2, shrink=0.8))
+    nd, nb = ks.dirichlet_count, ks.n_boundary
+
+    def neumann(p):
+        n = p / np.array([ELL1.semi_major, ELL1.semi_minor]) ** 2
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        return (np.cos(p[:, 0]) + 1.0) * n[:, 0]
+
+    problem = ProblemSpec(forcing=lambda p: p[:, 0],
+                          dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
+                          neumann=neumann, geometry=ELL1)
+    sol = solve_linear(problem, ks, mq_pair(3.0))
+    fit = sol.drm_fit
+    v_n = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))[nd:nb] @ sol.lam
+    up_n = np.array([evaluate_particular_normal(fit, x, n) for x, n in
+                     zip(ks.boundary_positions[nd:], ks.boundary_normals[nd:])])
+    assert np.max(np.abs(up_n)) > 0.1            # the correction is exercised
+    data = neumann(ks.boundary_positions[nd:])
+    cond = max(rec.condition for rec in sol.diagnostics)
+    scale = np.max(np.abs(v_n)) + np.max(np.abs(up_n)) + np.max(np.abs(data))
+    assert np.max(np.abs(v_n + up_n - data)) <= cond * np.finfo(float).eps * scale
 
 
 def test_interior_knots_enrich_fit_without_changing_bc():
@@ -459,15 +487,6 @@ def test_truncated_solution_records_no_diagnostics(solve, problem, n, c):
 # ---------------------------------------------------------------------------
 # Three dimensions
 # ---------------------------------------------------------------------------
-
-def fibonacci_sphere(n, radius=1.0):
-    """n near-uniform points on a sphere centred at the origin."""
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    t = np.pi * (1.0 + 5 ** 0.5) * i
-    rho = np.sqrt(1.0 - z * z)
-    return radius * np.column_stack([rho * np.cos(t), rho * np.sin(t), z])
-
 
 def test_three_dimensional_solve_on_unit_sphere():
     # laplacian u + u = 2 + x + y^2 with u* = x + y^2; the DRM fit needs the

@@ -159,12 +159,11 @@ class ErrorReport:
         return float(np.max(finite)) if finite.size else 0.0
 
 
-def _empty_report(case, n_knots, c, frm_k, error=None, diagnostics=()):
+def _empty_report(case, n_knots, c, frm_k, error):
     empty = np.empty(0)
     return ErrorReport(label=case.label, n_knots=n_knots, shape=c, frm_k=frm_k,
                        points=np.empty((0, 2)), exact=empty, computed=empty,
-                       abs_err=empty, rel_err=empty,
-                       diagnostics=tuple(diagnostics), error=error)
+                       abs_err=empty, rel_err=empty, error=error)
 
 
 def run_case(case: BenchmarkCase, n_knots: int, c: float,
@@ -175,8 +174,6 @@ def run_case(case: BenchmarkCase, n_knots: int, c: float,
     raised, so sweeps can degrade gracefully.
     """
     n_knots = int(n_knots)
-    if n_knots < 1:
-        raise ValueError("n_knots must be at least 1")
     knots = ellipse_knots(case.problem.geometry, n_knots)
     kernel = mq_pair(c)
     solve = (solve_nonlinear_boundary_only
@@ -185,11 +182,7 @@ def run_case(case: BenchmarkCase, n_knots: int, c: float,
     try:
         solution = solve(case.problem, knots, kernel, frm_k=frm_k)
     except (BkmError, np.linalg.LinAlgError) as exc:
-        return _empty_report(case, n_knots, c, frm_k, error=str(exc))
-
-    if case.test_points.shape[0] == 0:
-        return _empty_report(case, n_knots, c, frm_k,
-                             diagnostics=solution.diagnostics)
+        return _empty_report(case, n_knots, c, frm_k, str(exc))
 
     computed = evaluate(solution, case.test_points)
     abs_err = np.abs(computed - case.exact_values)

@@ -2,8 +2,14 @@
 
 Results go to standard output (or ``--out``); diagnostics go to standard
 error at a verbosity picked by the ``BKM_LOG`` environment variable
-(quiet, info or debug). Exit codes: 0 success, 1 solver failure, 2 bad
-arguments.
+(quiet, info or debug), for ``bench``, ``sweep`` and ``solve`` alike. Exit
+codes: 0 success, 1 solver failure, 2 bad arguments.
+
+Each input rule is one function, :func:`count`, :func:`shape` or
+:func:`count_list`, used both as the argparse ``type=`` of a flag and by
+:func:`parse_problem_file`: counts are at least 1 and ``c`` is finite and
+above 0. Problem-file ``eval`` points must be finite, and every problem-file
+error names ``path:lineno``.
 """
 from __future__ import annotations
 
@@ -11,8 +17,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,21 +39,6 @@ BUILTIN_FUNCTIONS = {
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one CLI run."""
-
-    subcommand: str
-    case: Optional[str] = None
-    problem_path: Optional[str] = None
-    n_knots: Optional[int] = None
-    knot_counts: Optional[list[int]] = None
-    c: Optional[float] = None
-    frm_k: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-
 def _configure_logging():
     raw = os.environ.get("BKM_LOG", "quiet").strip().lower()
     level = _LOG_LEVELS.get(raw)
@@ -62,6 +51,30 @@ def _configure_logging():
         log.warning("unknown BKM_LOG value %r, using info", raw)
 
 
+def count(text: str) -> int:
+    """A count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"expected a count of at least 1, got {n}")
+    return n
+
+
+def shape(text: str) -> float:
+    """A multiquadric shape parameter: a finite float above 0."""
+    c = float(text)
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"expected a finite shape parameter above 0, got {c}")
+    return c
+
+
+def count_list(text: str) -> list[int]:
+    """Comma-separated counts, e.g. ``5,7``; empty entries are skipped."""
+    counts = [count(v) for v in text.split(",") if v.strip()]
+    if not counts:
+        raise ValueError("expected at least one count")
+    return counts
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bkm",
@@ -70,33 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="run a built-in benchmark case")
     pb.add_argument("case", choices=("table1", "table2"))
-    pb.add_argument("--knots", type=int, default=None,
-                    help="boundary knot count (default: the case's largest)")
-    pb.add_argument("--c", type=float, default=None,
-                    help="multiquadric shape parameter (default per case)")
-    pb.add_argument("--frm", type=int, default=None, metavar="K",
-                    help="truncate both systems to K nearest neighbours")
+    pb.add_argument("--knots", type=count, default=None,
+                    help="boundary knot count, at least 1 "
+                         "(default: the case's largest)")
+    pb.add_argument("--c", type=shape, default=None,
+                    help="multiquadric shape parameter, finite and above 0 "
+                         "(default per case)")
+    pb.add_argument("--frm", type=count, default=None, metavar="K",
+                    help="truncate both systems to K >= 1 nearest neighbours")
     pb.add_argument("--out", default=None, help="write output to this path")
     pb.add_argument("--format", dest="fmt", choices=("csv", "table"), default="csv")
+    pb.set_defaults(run=_run_bench)
 
     ps = sub.add_parser("sweep", help="run a case over several knot counts")
     ps.add_argument("case", choices=("table1", "table2"))
-    ps.add_argument("--knots", required=True, metavar="N1,N2,...",
+    ps.add_argument("--knots", type=count_list, required=True, metavar="N1,N2,...",
                     help="comma-separated ascending knot counts")
-    ps.add_argument("--c", type=float, default=None)
+    ps.add_argument("--c", type=shape, default=None)
     ps.add_argument("--out", default=None)
     ps.add_argument("--format", dest="fmt", choices=("csv", "table"), default="csv")
+    ps.set_defaults(run=_run_sweep)
 
     pv = sub.add_parser("solve", help="solve a problem described in a file")
     pv.add_argument("problem_file")
     pv.add_argument("--out", default=None)
+    pv.set_defaults(run=_run_solve)
     return parser
-
-
-def _usage_error(parser, message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    parser.print_usage(sys.stderr)
-    return 2
 
 
 def _emit(lines, out_path) -> None:
@@ -114,26 +126,30 @@ def _format_report(report, fmt) -> list[str]:
     return bench.report_csv_lines(report)
 
 
-def _run_bench(config: RunConfig) -> tuple[int, list[str]]:
-    case = bench.named_case(config.case)
-    n = config.n_knots if config.n_knots is not None else case.default_knot_counts[-1]
-    c = config.c if config.c is not None else case.default_shape
+def _log_diagnostics(records) -> None:
+    for rec in records:
+        log.info("%s: size %d, condition estimate %.3e",
+                 rec.label, rec.size, rec.condition)
+
+
+def _run_bench(args) -> tuple[int, list[str]]:
+    case = bench.named_case(args.case)
+    n = args.knots if args.knots is not None else case.default_knot_counts[-1]
+    c = args.c if args.c is not None else case.default_shape
     log.info("case %s: %d knots, shape %g%s", case.label, n, c,
-             "" if config.frm_k is None else f", frm k={config.frm_k}")
-    report = bench.run_case(case, n, c, frm_k=config.frm_k)
+             "" if args.frm is None else f", frm k={args.frm}")
+    report = bench.run_case(case, n, c, frm_k=args.frm)
     if report.error is not None:
         print(f"solver error: {report.error}", file=sys.stderr)
         return 1, []
-    for rec in report.diagnostics:
-        log.info("%s: size %d, condition estimate %.3e",
-                 rec.label, rec.size, rec.condition)
-    return 0, _format_report(report, config.fmt)
+    _log_diagnostics(report.diagnostics)
+    return 0, _format_report(report, args.fmt)
 
 
-def _run_sweep(config: RunConfig) -> tuple[int, list[str]]:
-    case = bench.named_case(config.case)
-    c = config.c if config.c is not None else case.default_shape
-    reports = bench.convergence_sweep(case, config.knot_counts, c)
+def _run_sweep(args) -> tuple[int, list[str]]:
+    case = bench.named_case(args.case)
+    c = args.c if args.c is not None else case.default_shape
+    reports = bench.convergence_sweep(case, args.knots, c)
     lines = []
     failures = 0
     for report in reports:
@@ -142,9 +158,10 @@ def _run_sweep(config: RunConfig) -> tuple[int, list[str]]:
             print(f"solver error at {report.n_knots} knots: {report.error}",
                   file=sys.stderr)
             continue
+        _log_diagnostics(report.diagnostics)
         lines.append(f"# knots={report.n_knots} c={bench._fmt(report.shape)} "
                      f"rms={bench._fmt(report.rms)}")
-        lines.extend(_format_report(report, config.fmt))
+        lines.extend(_format_report(report, args.fmt))
         lines.append("")
     if lines and lines[-1] == "":
         lines.pop()
@@ -181,13 +198,13 @@ def parse_problem_file(path: str) -> dict:
                                          f"builtins: {sorted(BUILTIN_FUNCTIONS)}")
                     parsed[key] = BUILTIN_FUNCTIONS[value]
                 elif key == "knots":
-                    parsed["knots"] = int(value)
+                    parsed["knots"] = count(value)
                 elif key == "c":
-                    parsed["c"] = float(value)
+                    parsed["c"] = shape(value)
                 elif key == "eval":
                     parts = [float(v) for v in value.split()]
-                    if len(parts) != 2:
-                        raise ValueError("eval needs 'x y'")
+                    if len(parts) != 2 or not np.all(np.isfinite(parts)):
+                        raise ValueError("eval needs two finite numbers 'x y'")
                     parsed["eval"].append(parts)
                 else:
                     raise ValueError(f"unknown key {key!r}")
@@ -199,74 +216,31 @@ def parse_problem_file(path: str) -> dict:
     return parsed
 
 
-def _run_solve(config: RunConfig) -> tuple[int, list[str]]:
-    parsed = parse_problem_file(config.problem_path)
-    if parsed["knots"] < 1:
-        raise ValueError("knots must be at least 1")
-    if parsed["c"] <= 0:
-        raise ValueError("c must be positive")
+def _run_solve(args) -> tuple[int, list[str]]:
+    parsed = parse_problem_file(args.problem_file)
     problem = ProblemSpec(forcing=parsed["forcing"], dirichlet=parsed["dirichlet"],
                           rho=RhoZero(), geometry=parsed["ellipse"])
     knots = ellipse_knots(parsed["ellipse"], parsed["knots"])
     solution = solve_linear(problem, knots, mq_pair(parsed["c"]))
-    for rec in solution.diagnostics:
-        log.info("%s: size %d, condition estimate %.3e",
-                 rec.label, rec.size, rec.condition)
+    _log_diagnostics(solution.diagnostics)
     lines = ["x,y,computed"]
     if parsed["eval"]:
         pts = np.array(parsed["eval"])
         values = evaluate(solution, pts)
         for (x, y), u in zip(pts, values):
-            lines.append(f"{x:.10g},{y:.10g},{u:.10g}")
+            lines.append(",".join(bench._fmt(v) for v in (x, y, u)))
     return 0, lines
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    config = RunConfig(subcommand=args.subcommand,
-                       case=getattr(args, "case", None),
-                       problem_path=getattr(args, "problem_file", None),
-                       n_knots=getattr(args, "knots", None)
-                       if args.subcommand == "bench" else None,
-                       c=getattr(args, "c", None),
-                       frm_k=getattr(args, "frm", None),
-                       out=args.out,
-                       fmt=getattr(args, "fmt", "csv"))
-
-    # validation that argparse cannot express
-    if config.subcommand == "bench":
-        if config.n_knots is not None and config.n_knots < 1:
-            return _usage_error(parser, "--knots must be at least 1")
-        if config.c is not None and config.c <= 0:
-            return _usage_error(parser, "--c must be positive")
-        if config.frm_k is not None and config.frm_k < 1:
-            return _usage_error(parser, "--frm must be at least 1")
-    if config.subcommand == "sweep":
-        try:
-            counts = [int(v) for v in args.knots.split(",") if v.strip()]
-        except ValueError:
-            return _usage_error(parser, f"bad --knots list {args.knots!r}")
-        if not counts or any(n < 1 for n in counts):
-            return _usage_error(parser, "--knots needs positive counts")
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            return _usage_error(parser, "--knots counts must be ascending")
-        if config.c is not None and config.c <= 0:
-            return _usage_error(parser, "--c must be positive")
-        config.knot_counts = counts
-
     try:
-        if config.subcommand == "bench":
-            code, lines = _run_bench(config)
-        elif config.subcommand == "sweep":
-            code, lines = _run_sweep(config)
-        else:
-            code, lines = _run_solve(config)
+        code, lines = args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -275,7 +249,7 @@ def main(argv=None) -> int:
         return 1
 
     if code == 0:
-        _emit(lines, config.out)
+        _emit(lines, args.out)
     return code
 
 

@@ -49,6 +49,12 @@ def test_bench_rejects_zero_knots(capsys):
 def test_bench_rejects_bad_shape(capsys):
     code, _, err = run_cli(capsys, "bench", "table1", "--c", "-1")
     assert code == 2
+    # a shape parameter must be finite as well as positive
+    for value in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "bench", "table1", "--c", value)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err.lower()
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -167,10 +173,12 @@ def test_parse_problem_file_grammar(tmp_path):
         bad = tmp_path / "q.txt"
         bad.write_text("knots 7\n")
         parse_problem_file(str(bad))
-    # a field that does not parse as a number names its file and line, as
-    # every other problem-file error does
+    # a field that does not parse as a number, or a number out of range,
+    # names its file and line, as every other problem-file error does
     for line, number in (("knots = 7", "seven"), ("c = 3", "abc"),
-                         ("ellipse = 0 0 2 1", "0 0 two 1"), ("eval = 1.5 0", "1.5 y")):
+                         ("ellipse = 0 0 2 1", "0 0 two 1"), ("eval = 1.5 0", "1.5 y"),
+                         ("knots = 7", "0"), ("c = 3", "nan"), ("c = 3", "-1"),
+                         ("eval = 1.5 0", "nan 0")):
         key = line.split(" = ")[0]
         lineno = PROBLEM_FILE.splitlines().index(line) + 1
         bad.write_text(PROBLEM_FILE.replace(line, f"{key} = {number}"))
@@ -197,6 +205,9 @@ def test_bkm_log_info_reports_diagnostics(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "bench", "table1")
     assert code == 0
     assert "condition estimate" in err
+    code, out, err = run_cli(capsys, "sweep", "table1", "--knots", "5,7")
+    assert code == 0
+    assert err.count("condition estimate") == 4    # two solves per knot count
     monkeypatch.setenv("BKM_LOG", "quiet")
     code, out, err = run_cli(capsys, "bench", "table1")
     assert code == 0

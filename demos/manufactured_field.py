@@ -19,16 +19,6 @@ def u_star(p):
     return bessel_j0(np.linalg.norm(p - xstar, axis=1))
 
 
-def sample_interior(count, seed):
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < count:
-        p = rng.uniform([-2, -1], [2, 1])
-        if (p[0] / 2) ** 2 + p[1] ** 2 < 1:
-            pts.append(p)
-    return np.array(pts)
-
-
 problem = ProblemSpec(forcing=lambda p: np.zeros(len(p)), dirichlet=u_star,
                       rho=RhoZero(), geometry=ellipse)
 
@@ -36,7 +26,7 @@ print(f"Dirichlet data sampled from J0(|x - x*|), x* = ({xstar[0]:g}, {xstar[1]:
 for n in (8, 12, 16):
     knots = ellipse_knots(ellipse, n)
     solution = solve_linear(problem, knots, mq_pair(3.0))
-    pts = sample_interior(200, seed=1)
+    pts = ellipse.interior_samples(200, seed=1)
     err = np.max(np.abs(evaluate(solution, pts) - u_star(pts)))
     print(f"    N = {n:2d}: max interior error {err:.2e}")
 print()
@@ -59,6 +49,6 @@ def neumann_data(p):
 mixed = ProblemSpec(forcing=lambda p: np.zeros(len(p)), dirichlet=u_star,
                     neumann=neumann_data, rho=RhoZero(), geometry=ellipse)
 solution = solve_linear(mixed, knots, mq_pair(3.0))
-pts = sample_interior(200, seed=2)
+pts = ellipse.interior_samples(200, seed=2)
 err = np.max(np.abs(evaluate(solution, pts) - u_star(pts)))
 print(f"mixed Dirichlet/Neumann data, N = 16: max interior error {err:.2e}")

@@ -21,13 +21,7 @@ matrix = build_interpolation_matrix(knots, pair)
 bp = knots.boundary_positions
 values = np.sin(bp[:, 0]) + bp[:, 0] * bp[:, 1]
 
-rng = np.random.default_rng(0)
-grid = []
-while len(grid) < 60:
-    p = rng.uniform([-2, -1], [2, 1])
-    if (p[0] / 2) ** 2 + p[1] ** 2 < 1:
-        grid.append(p)
-grid = np.array(grid)
+grid = ellipse.interior_samples(60, seed=0)
 basis = pair.phi(np.linalg.norm(grid[:, None, :] - bp[None, :, :], axis=2))
 
 full = solve_sparse(truncate_system(matrix, values, knots, 50))

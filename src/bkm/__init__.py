@@ -15,8 +15,7 @@ from .drm import (DrmFit, apply_operator_coupling, build_interpolation_matrix,
                   fit_particular)
 from .errors import BkmError, DegenerateGeometryError, IllConditionedError
 from .frm import SparseSystem, solve_sparse, truncate_system
-from .geometry import (BoundaryKnot, Ellipse, KnotSet, ellipse_knots,
-                       normal_projection, radial_distance)
+from .geometry import Ellipse, KnotSet, ellipse_knots
 from .gsr import (ConstrainedFit, GsrKernel, constrained_interpolate,
                   evaluate_constrained, make_gsr, timespace_distance)
 from .kernels import (GeneralSolution, KernelPair, bessel_j0, bessel_j1,
@@ -29,7 +28,7 @@ from .solver import (BkmSolution, ProblemSpec, RhoBoundaryNonlinear, RhoLinear,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkCase", "BkmError", "BkmSolution", "BoundaryKnot", "COND_LIMIT",
+    "BenchmarkCase", "BkmError", "BkmSolution", "COND_LIMIT",
     "ConstrainedFit", "DegenerateGeometryError", "DrmFit",
     "Ellipse", "ErrorReport", "GeneralSolution", "GsrKernel",
     "IllConditionedError", "KernelPair", "KnotSet",
@@ -41,8 +40,7 @@ __all__ = [
     "evaluate_homogeneous", "evaluate_particular",
     "evaluate_particular_normal", "fit_particular",
     "helmholtz_general_solution", "make_gsr", "mq_pair", "named_case",
-    "normal_projection", "radial_distance", "report_csv_lines",
-    "report_table_lines", "run_case",
+    "report_csv_lines", "report_table_lines", "run_case",
     "solve_linear", "solve_nonlinear_boundary_only", "solve_sparse",
     "table1_case", "table2_case", "timespace_distance", "truncate_system",
 ]

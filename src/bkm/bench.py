@@ -6,7 +6,10 @@ exact solution) on the ellipse with semi-axes 2 and 1. ``table2`` is the
 nonlinear problem laplacian u + u^2 = y e^x + y^2 e^{2x} with boundary data
 y e^x (again the exact solution); its reference points sit around x = 3, so
 the ellipse is centred at (3, 0) with semi-axes 1.5 and 0.5, inferred from
-the points that lie exactly on that boundary.
+the points that lie exactly on that boundary. Two of table2's reference
+points, (4.2, -0.35) and (1.8, -0.35), lie outside that ellipse, so 2 of its
+8 reported errors are off the domain; the true domain needs the paper's
+Table 2 text.
 """
 from __future__ import annotations
 

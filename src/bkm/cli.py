@@ -8,8 +8,8 @@ codes: 0 success, 1 solver failure, 2 bad arguments.
 Each input rule is one function, :func:`count`, :func:`shape` or
 :func:`count_list`, used both as the argparse ``type=`` of a flag and by
 :func:`parse_problem_file`: counts are at least 1 and ``c`` is finite and
-above 0. Problem-file ``eval`` points must be finite, and every problem-file
-error names ``path:lineno``.
+above 0. Problem-file ellipse semi-axes must be finite, ``eval`` points must
+lie in the closed ellipse, and every problem-file error names ``path:lineno``.
 """
 from __future__ import annotations
 
@@ -174,6 +174,7 @@ def parse_problem_file(path: str) -> dict:
     """Flat key-value problem description; see the README for the grammar."""
     parsed = {"knots": None, "c": None, "ellipse": None,
               "forcing": None, "dirichlet": None, "eval": []}
+    eval_lines = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -206,6 +207,7 @@ def parse_problem_file(path: str) -> dict:
                     if len(parts) != 2 or not np.all(np.isfinite(parts)):
                         raise ValueError("eval needs two finite numbers 'x y'")
                     parsed["eval"].append(parts)
+                    eval_lines.append(lineno)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except ValueError as exc:
@@ -213,6 +215,13 @@ def parse_problem_file(path: str) -> dict:
     for required in ("ellipse", "forcing", "dirichlet", "knots", "c"):
         if parsed[required] is None:
             raise ValueError(f"{path}: missing required key {required!r}")
+    # checked once the file is read, so the ellipse may follow the eval lines
+    outside = ~parsed["ellipse"].contains(np.reshape(parsed["eval"], (-1, 2)))
+    if outside.any():
+        i = int(np.argmax(outside))
+        x, y = parsed["eval"][i]
+        raise ValueError(f"{path}:{eval_lines[i]}: eval point ({x:g}, {y:g}) "
+                         "lies outside the ellipse")
     return parsed
 
 

@@ -1,9 +1,10 @@
-"""Knot placement on parametric boundaries, outward normals, and radial distances.
+"""The domain's boundary, the knots placed on it, and radial distances.
 
-Knots are the collocation sites of the boundary knot method: an ordered set of
-boundary points carrying outward unit normals, optionally supplemented by
-interior points. All containers are immutable after construction and all
-operations are pure.
+:class:`Ellipse` is the one description of the domain: boundary points and
+normals, containment and interior samples come from it. Knots, the
+collocation sites of the boundary knot method, are ordered boundary points
+carrying outward unit normals, optionally followed by interior points. All
+containers are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
@@ -17,6 +18,9 @@ from .errors import DegenerateGeometryError
 #: Two knots closer than this (model units) are treated as coincident.
 COINCIDENT_TOL = 1e-12
 
+#: An implicit ellipse value up to 1 + this is on the boundary (so inside).
+BOUNDARY_TOL = 1e-12
+
 #: Normals must have unit length within this tolerance.
 UNIT_TOL = 1e-12
 
@@ -29,24 +33,6 @@ def as_point(x) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError(f"point coordinates must be finite, got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class BoundaryKnot:
-    """A boundary collocation site: position plus outward unit normal."""
-
-    position: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        pos = as_point(self.position)
-        nor = as_point(self.normal)
-        if pos.size != nor.size:
-            raise ValueError("position and normal must share a dimension")
-        if abs(np.linalg.norm(nor) - 1.0) > UNIT_TOL:
-            raise ValueError(f"normal must have unit length, got |n|={np.linalg.norm(nor)!r}")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "normal", nor)
 
 
 @dataclass(frozen=True)
@@ -66,11 +52,48 @@ class Ellipse:
         if c.size != 2:
             raise ValueError("ellipse center must be two-dimensional")
         a, b = float(self.semi_major), float(self.semi_minor)
-        if not (a >= b > 0.0):
-            raise ValueError(f"ellipse requires a >= b > 0, got a={a}, b={b}")
+        if not (np.isfinite(a) and a >= b > 0.0):
+            raise ValueError(f"ellipse requires finite a >= b > 0, got a={a}, b={b}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "semi_major", a)
         object.__setattr__(self, "semi_minor", b)
+
+    def boundary(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary points center + (a cos t, b sin t) at the 1-d parameter
+        values t, and their outward unit normals, proportional to
+        (b cos t, a sin t); both (len(t), 2)."""
+        trig = np.empty((len(t), 2))
+        trig[:, 0] = np.cos(t)
+        trig[:, 1] = np.sin(t)
+        positions = trig * (self.semi_major, self.semi_minor)
+        positions += self.center
+        normals = trig * (self.semi_minor, self.semi_major)
+        normals /= _row_norms(normals)[:, None]
+        return positions, normals
+
+    def contains(self, points) -> np.ndarray:
+        """Whether each point, along the last axis of ``points``, lies in the
+        closed ellipse: boundary points (to :data:`BOUNDARY_TOL`) count."""
+        return self._implicit(np.asarray(points, dtype=float)) <= 1.0 + BOUNDARY_TOL
+
+    def interior_samples(self, n: int, seed, shrink: float = 1.0) -> np.ndarray:
+        """n points strictly inside, with implicit value below ``shrink``, as
+        (n, 2): uniform draws over the bounding box from ``default_rng(seed)``,
+        kept in draw order, so the same seed gives the same points."""
+        if not 0.0 < shrink <= 1.0:
+            raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
+        rng = np.random.default_rng(seed)
+        half = np.array([self.semi_major, self.semi_minor])
+        kept = np.empty((0, 2))
+        while len(kept) < n:
+            box = rng.uniform(self.center - half, self.center + half, size=(2 * n, 2))
+            kept = np.concatenate((kept, box[self._implicit(box) < shrink]))
+        return kept[:n]
+
+    def _implicit(self, points: np.ndarray) -> np.ndarray:
+        """((x - cx)/a)^2 + ((y - cy)/b)^2 along the last axis: 1 on the boundary."""
+        rel = (points - self.center) / (self.semi_major, self.semi_minor)
+        return rel[..., 0] ** 2 + rel[..., 1] ** 2
 
 
 class KnotSet:
@@ -201,12 +224,6 @@ class KnotSet:
     def dimension(self) -> int:
         return self._boundary_positions.shape[1]
 
-    @property
-    def knots(self) -> tuple[BoundaryKnot, ...]:
-        """Boundary knots as individual objects, in collocation order."""
-        return tuple(BoundaryKnot(p, n) for p, n in
-                     zip(self._boundary_positions, self._boundary_normals))
-
     def with_interior(self, interior) -> "KnotSet":
         """Copy of this set with the interior knots replaced."""
         return KnotSet(self._boundary_positions, self._boundary_normals,
@@ -247,7 +264,9 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
 
 
 def _normal_projections(points, normals, sources, r):
-    """dr/dn = ((x - s) . n) / r, 0 where point and source coincide.
+    """dr/dn = ((x - s) . n) / r, 0 where point and source coincide: every
+    kernel derivative carries a factor that vanishes with r, so the
+    convention matches the analytic limits.
 
     ``points`` and ``normals`` broadcast against ``sources`` to ``r``'s shape
     plus a coordinate axis: (m, 1, d) against (n, d) for an (m, n) block,
@@ -306,43 +325,10 @@ def _check_pairwise_distinct(dists: np.ndarray):
 def ellipse_knots(e: Ellipse, n: int) -> KnotSet:
     """Place n boundary knots on an ellipse at uniform parametric angles.
 
-    Knot k sits at angle t_k = 2*pi*k/n, position center + (a cos t, b sin t),
-    with outward normal proportional to (b cos t, a sin t). The interior list
+    Knot k sits at ``e.boundary(t_k)`` with t_k = 2*pi*k/n. The interior list
     is empty; use :meth:`KnotSet.with_interior` to add interior points.
     """
     n = int(n)
     if n < 1:
         raise ValueError("knot count must be at least 1")
-    t = 2.0 * np.pi * np.arange(n) / n
-    a, b = e.semi_major, e.semi_minor
-    trig = np.empty((n, 2))
-    trig[:, 0] = np.cos(t)
-    trig[:, 1] = np.sin(t)
-    positions = trig * (a, b)
-    positions += e.center
-    normals = trig * (b, a)
-    normals /= _row_norms(normals)[:, None]
-    return KnotSet(positions, normals)
-
-
-def radial_distance(x, y) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    p = as_point(x)
-    q = as_point(y)
-    if p.size != q.size:
-        raise ValueError(f"dimension mismatch: {p.size} vs {q.size}")
-    return float(np.linalg.norm(p - q))
-
-
-def normal_projection(x, source, n) -> float:
-    """Directional derivative of the radial distance, d r / d n.
-
-    Returns ((x - source) . n) / |x - source|, the cosine between the
-    separation vector and the direction n. By convention the value at
-    x == source is 0; every kernel derivative used here carries a factor
-    that vanishes with r, so the convention matches the analytic limits.
-    """
-    p, s, d = as_point(x), as_point(source), as_point(n)
-    if not p.size == s.size == d.size:
-        raise ValueError("x, source and n must share a dimension")
-    return float(_normal_projections(p, d, s, np.linalg.norm(p - s)))
+    return KnotSet(*e.boundary(2.0 * np.pi * np.arange(n) / n))

@@ -71,7 +71,7 @@ class GeneralSolution:
 
     ``value(r)`` evaluates the solution, ``normal_derivative(r, projection)``
     its directional derivative given dr/dn (see
-    :func:`bkm.geometry.normal_projection`).
+    :func:`bkm.geometry._normal_projections`).
     """
 
     dimension: int

@@ -89,19 +89,6 @@ def fd_directional(fn, point, direction, h=1e-5):
     return (fn(p + h * d) - fn(p - h * d)) / (2.0 * h)
 
 
-def interior_points(ellipse, count, seed, shrink=1.0):
-    """Deterministic points strictly inside an ellipse by rejection sampling."""
-    rng = np.random.default_rng(seed)
-    cx, cy = ellipse.center
-    a, b = ellipse.semi_major, ellipse.semi_minor
-    points = []
-    while len(points) < count:
-        p = rng.uniform([cx - a, cy - b], [cx + a, cy + b])
-        if ((p[0] - cx) / a) ** 2 + ((p[1] - cy) / b) ** 2 < shrink:
-            points.append(p)
-    return np.array(points)
-
-
 def fibonacci_sphere(n, radius=1.0):
     """n near-uniform points on a sphere centred at the origin."""
     i = np.arange(n) + 0.5

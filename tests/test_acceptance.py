@@ -17,7 +17,7 @@ from bkm.gsr import (constrained_interpolate, evaluate_constrained, make_gsr,
 from bkm.kernels import bessel_j0, bessel_j1, mq_pair
 from bkm.solver import (ProblemSpec, RhoZero, evaluate, evaluate_homogeneous,
                         solve_linear, solve_nonlinear_boundary_only)
-from oracles import interior_points, series_j0, series_j1
+from oracles import series_j0, series_j1
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -87,7 +87,7 @@ def test_criterion_05_homogeneous_residual():
     runs = []
     case1, case2 = table1_case(), table2_case()
     for case, counts, c in ((case1, (5, 7), 3.0), (case2, (7, 9), 18.0)):
-        pts = interior_points(case.problem.geometry, 100, seed=55, shrink=0.98)
+        pts = case.problem.geometry.interior_samples(100, seed=55, shrink=0.98)
         for n in counts:
             knots = ellipse_knots(case.problem.geometry, n)
             kernel = mq_pair(c)
@@ -114,7 +114,7 @@ def test_criterion_06_drm_exactness():
         knots = ellipse_knots(ELL1, total - n_interior)
         if n_interior:
             knots = knots.with_interior(
-                interior_points(ELL1, n_interior, seed=total, shrink=0.9))
+                ELL1.interior_samples(n_interior, seed=total, shrink=0.9))
         matrix = build_interpolation_matrix(knots, pair)
         for _ in range(4):
             rhs = rng.standard_normal(knots.size)
@@ -133,7 +133,7 @@ def test_criterion_07_manufactured_homogeneous_field():
     problem = ProblemSpec(forcing=lambda p: np.zeros(len(p)), dirichlet=ustar,
                           rho=RhoZero(), geometry=ELL1)
     sol = solve_linear(problem, ellipse_knots(ELL1, 16), mq_pair(3.0))
-    pts = interior_points(ELL1, 50, seed=77)
+    pts = ELL1.interior_samples(50, seed=77)
     err = np.max(np.abs(evaluate(sol, pts) - ustar(pts)))
     check(7, err <= 1e-6,
           f"field sampled from the basis reproduced at 50 interior points "
@@ -155,7 +155,7 @@ def test_criterion_08_frm_consistency():
     m50 = build_interpolation_matrix(knots50, pair)
     bp = knots50.boundary_positions
     fvals = np.sin(bp[:, 0]) + bp[:, 0] * bp[:, 1]
-    grid = interior_points(ELL1, 40, seed=0)
+    grid = ELL1.interior_samples(40, seed=0)
     basis = pair.phi(np.linalg.norm(grid[:, None, :] - bp[None, :, :], axis=2))
     reference = basis @ solve_sparse(truncate_system(m50, fvals, knots50, 50))
     errs = [np.max(np.abs(basis @ solve_sparse(truncate_system(m50, fvals,

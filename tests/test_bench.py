@@ -50,6 +50,15 @@ def test_table2_geometry_contains_its_boundary_points():
         pytest.approx(1.0)
 
 
+def test_reference_points_in_their_domain():
+    # table2's (4.2, -0.35) and (1.8, -0.35) have implicit value 1.13 on the
+    # inferred 1.5 x 0.5 ellipse: 2 of its 8 reported errors are off the domain
+    for case, outside in ((table1_case(), []),
+                          (table2_case(), [[4.2, -0.35], [1.8, -0.35]])):
+        pts = case.test_points
+        assert pts[~case.problem.geometry.contains(pts)].tolist() == outside
+
+
 def test_case_construction_rejects_wrong_exact():
     case = table1_case()
     with pytest.raises(ValueError):

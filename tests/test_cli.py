@@ -178,12 +178,18 @@ def test_parse_problem_file_grammar(tmp_path):
     for line, number in (("knots = 7", "seven"), ("c = 3", "abc"),
                          ("ellipse = 0 0 2 1", "0 0 two 1"), ("eval = 1.5 0", "1.5 y"),
                          ("knots = 7", "0"), ("c = 3", "nan"), ("c = 3", "-1"),
-                         ("eval = 1.5 0", "nan 0")):
+                         ("eval = 1.5 0", "nan 0"), ("ellipse = 0 0 2 1", "0 0 inf 1"),
+                         ("eval = 1.5 0", "9 9")):
         key = line.split(" = ")[0]
         lineno = PROBLEM_FILE.splitlines().index(line) + 1
         bad.write_text(PROBLEM_FILE.replace(line, f"{key} = {number}"))
         with pytest.raises(ValueError, match=re.escape(f"{bad}:{lineno}: ")):
             parse_problem_file(str(bad))
+    # containment is checked once the file is read, so eval lines may precede
+    # the ellipse; (2, 0) is on the boundary, so in the closed domain
+    bad.write_text("eval = 2 0\neval = 9 9\n" + PROBLEM_FILE)
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:2: eval point (9, 9)")):
+        parse_problem_file(str(bad))
 
 
 def test_builtin_functions_cover_benchmark_data():

@@ -8,7 +8,7 @@ from bkm.drm import (apply_operator_coupling, build_interpolation_matrix,
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
 from bkm.kernels import mq_pair
-from oracles import fd_directional, fd_laplacian, interior_points
+from oracles import fd_directional, fd_laplacian
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -76,7 +76,7 @@ def test_fit_reproduces_rhs_at_knots():
 def test_interpolation_exactness_random_rhs(n_boundary, n_interior):
     ks = ellipse_knots(ELL, n_boundary)
     if n_interior:
-        ks = ks.with_interior(interior_points(ELL, n_interior, seed=3, shrink=0.9))
+        ks = ks.with_interior(ELL.interior_samples(n_interior, seed=3, shrink=0.9))
     pair = mq_pair(1.0)
     matrix = build_interpolation_matrix(ks, pair)
     rng = np.random.default_rng(42)

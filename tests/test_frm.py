@@ -251,13 +251,7 @@ def test_sweep_error_decreases_towards_dense():
     fvals = np.sin(ks.boundary_positions[:, 0]) + \
         ks.boundary_positions[:, 0] * ks.boundary_positions[:, 1]
 
-    rng = np.random.default_rng(0)
-    grid = []
-    while len(grid) < 40:
-        p = rng.uniform([-2, -1], [2, 1])
-        if (p[0] / 2) ** 2 + p[1] ** 2 < 1:
-            grid.append(p)
-    grid = np.array(grid)
+    grid = ELL.interior_samples(40, seed=0)
     basis = pair.phi(np.linalg.norm(grid[:, None, :] -
                                     ks.boundary_positions[None, :, :], axis=2))
 

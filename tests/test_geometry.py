@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bkm.errors import DegenerateGeometryError
-from bkm.geometry import (BoundaryKnot, Ellipse, KnotSet, ellipse_knots,
-                          normal_projection, pairwise_distances,
-                          radial_distance)
+from bkm.geometry import (Ellipse, KnotSet, _normal_projections, ellipse_knots,
+                          pairwise_distances)
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
@@ -22,6 +21,18 @@ def point_set_pairs(draw):
     a = draw(st.lists(mixed_coord, min_size=m * dim, max_size=m * dim))
     b = draw(st.lists(mixed_coord, min_size=n * dim, max_size=n * dim))
     return np.reshape(a, (m, dim)), np.reshape(b, (n, dim))
+
+
+#: Random centres and semi-axes a >= b > 0, and boundary parameter values.
+ellipses = st.builds(lambda cx, cy, a, ratio: Ellipse(np.array([cx, cy]), a, a * ratio),
+                     st.floats(-10, 10), st.floats(-10, 10), st.floats(0.5, 20),
+                     st.floats(0.1, 1))
+angles = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8).map(np.array)
+
+
+def implicit(e, points):
+    rel = (points - e.center) / (e.semi_major, e.semi_minor)
+    return np.sum(rel ** 2, axis=1)
 
 
 def test_ellipse_knots_axis_aligned():
@@ -56,9 +67,8 @@ def test_ellipse_knots_rejects_zero():
 def test_ellipse_knots_on_implicit_curve(n):
     e = Ellipse(np.array([0.5, -0.25]), 2.0, 1.0)
     ks = ellipse_knots(e, n)
-    rel = ks.boundary_positions - e.center
-    implicit = (rel[:, 0] / e.semi_major) ** 2 + (rel[:, 1] / e.semi_minor) ** 2
-    np.testing.assert_allclose(implicit, 1.0, atol=1e-12)
+    np.testing.assert_allclose(implicit(e, ks.boundary_positions), 1.0, atol=1e-12)
+    assert e.contains(ks.boundary_positions).all()     # the ellipse is closed
 
 
 @pytest.mark.parametrize("n", [2, 5, 7, 16])
@@ -73,46 +83,44 @@ def test_ellipse_normals_unit_and_outward(n):
 
 
 def test_radial_distance_basics():
-    assert radial_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert radial_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
-    expected = np.sqrt(0.3**2 + 0.35**2)
-    assert radial_distance([1.5, 0.0], [1.2, -0.35]) == pytest.approx(expected,
-                                                                      abs=1e-15)
-
-
-def test_radial_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        radial_distance([0.0, 0.0], [1.0, 2.0, 3.0])
+    d = pairwise_distances(np.array([[0.0, 0.0], [1.5, 0.0]]),
+                           np.array([[0.0, 0.0], [3.0, 4.0], [1.2, -0.35]]))
+    assert d[0, 0] == 0.0
+    assert d[0, 1] == pytest.approx(5.0, abs=1e-15)
+    assert d[1, 2] == pytest.approx(np.sqrt(0.3**2 + 0.35**2), abs=1e-15)
 
 
 @given(ax=coord, ay=coord, bx=coord, by=coord, cx=coord, cy=coord)
 def test_radial_distance_metric_axioms(ax, ay, bx, by, cx, cy):
-    a, b, c = [ax, ay], [bx, by], [cx, cy]
-    dab = radial_distance(a, b)
-    dba = radial_distance(b, a)
-    assert dab == pytest.approx(dba, abs=1e-12)
-    assert radial_distance(a, a) == 0.0
-    assert radial_distance(a, c) <= dab + radial_distance(b, c) + 1e-12
+    pts = np.array([[ax, ay], [bx, by], [cx, cy]])
+    d = pairwise_distances(pts, pts)
+    assert d[0, 1] == pytest.approx(d[1, 0], abs=1e-12)
+    assert np.all(np.diag(d) == 0.0)
+    assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 def test_normal_projection_collinear_orthogonal_degenerate():
-    assert normal_projection([1.0, 0.0], [0.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert normal_projection([0.0, 1.0], [0.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)
-    assert normal_projection([0.3, -0.7], [0.3, -0.7], [1.0, 0.0]) == 0.0
+    # dr/dn along n = (1, 0) of a collinear, an orthogonal and a coincident
+    # pair: the convention at r = 0 is a projection of 0
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, -0.7]])
+    s = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, -0.7]])
+    proj = _normal_projections(x, np.array([1.0, 0.0]), s, np.linalg.norm(x - s, axis=1))
+    np.testing.assert_array_equal(proj, [1.0, 0.0, 0.0])
 
 
 @given(ax=coord, ay=coord, sx=coord, sy=coord, angle=st.floats(0, 2 * np.pi))
 def test_normal_projection_bounded(ax, ay, sx, sy, angle):
-    n = [np.cos(angle), np.sin(angle)]
-    p = normal_projection([ax, ay], [sx, sy], n)
-    assert abs(p) <= 1.0 + 1e-12
+    x, s = np.array([[ax, ay]]), np.array([[sx, sy]])
+    n = np.array([np.cos(angle), np.sin(angle)])
+    proj = _normal_projections(x, n, s, np.linalg.norm(x - s, axis=1))
+    assert abs(proj[0]) <= 1.0 + 1e-12
 
 
-def test_boundary_knot_validates_unit_normal():
-    with pytest.raises(ValueError):
-        BoundaryKnot(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    k = BoundaryKnot(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert k.position.shape == (2,)
+def test_knotset_rejects_non_unit_normal():
+    with pytest.raises(ValueError, match="unit length"):
+        KnotSet(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+    ks = KnotSet(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+    assert ks.boundary_positions.shape == (1, 2)
 
 
 def test_knotset_rejects_coincident_knots():
@@ -207,14 +215,28 @@ def test_knotset_immutable_arrays():
 
 
 def test_ellipse_validation():
-    with pytest.raises(ValueError):
-        Ellipse(np.zeros(2), 1.0, 2.0)   # a < b
-    with pytest.raises(ValueError):
-        Ellipse(np.zeros(2), 1.0, 0.0)
+    # a < b, b = 0, and semi-axes that are not finite
+    for a, b in ((1.0, 2.0), (1.0, 0.0), (np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="requires finite a >= b > 0"):
+            Ellipse(np.zeros(2), a, b)
 
 
-def test_knots_property_round_trip():
-    ks = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 3)
-    knots = ks.knots
-    assert len(knots) == 3
-    np.testing.assert_array_equal(knots[1].position, ks.boundary_positions[1])
+@given(ellipses, angles)
+def test_boundary_points_on_the_ellipse_with_unit_outward_normals(e, t):
+    positions, normals = e.boundary(t)
+    np.testing.assert_allclose(implicit(e, positions), 1.0, rtol=0, atol=1e-12)
+    assert e.contains(positions).all()
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(np.einsum("ij,ij->i", normals, positions - e.center) > 0)
+    assert not e.contains(positions + 1e-6 * e.semi_major * normals).any()
+
+
+@given(ellipses, st.integers(0, 30), st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
+def test_interior_samples_strictly_inside_and_reproducible(e, n, seed, shrink):
+    pts = e.interior_samples(n, seed, shrink)
+    assert pts.shape == (n, 2)
+    assert np.all(implicit(e, pts) < shrink) and e.contains(pts).all()   # shrink <= 1
+    assert pts.tobytes() == e.interior_samples(n, seed, shrink).tobytes()
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match="shrink"):
+            e.interior_samples(n, seed, shrink=bad)

@@ -11,7 +11,7 @@ from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
                         solve_nonlinear_boundary_only)
-from oracles import fd_laplacian, fibonacci_sphere, interior_points
+from oracles import fd_laplacian, fibonacci_sphere
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
@@ -120,7 +120,7 @@ def test_manufactured_solution_recovery():
     problem = helmholtz_problem()
     ks = ellipse_knots(ELL1, 7)
     sol = solve_linear(problem, ks, mq_pair(3.0))
-    pts = interior_points(ELL1, 40, seed=11)
+    pts = ELL1.interior_samples(40, seed=11)
     err = np.abs(evaluate(sol, pts) - problem.exact(pts))
     assert np.max(err) < 0.05
 
@@ -135,7 +135,7 @@ def test_homogeneous_field_reproduced_exactly():
     sol = solve_linear(problem, ks, mq_pair(3.0))
     bound = evaluate(sol, ks.boundary_positions)
     np.testing.assert_allclose(bound, ustar(ks.boundary_positions), atol=1e-8)
-    pts = interior_points(ELL1, 50, seed=7)
+    pts = ELL1.interior_samples(50, seed=7)
     np.testing.assert_allclose(evaluate(sol, pts), ustar(pts), atol=1e-6)
 
 
@@ -168,7 +168,7 @@ def test_mixed_boundary_conditions():
     problem = ProblemSpec(forcing=lambda p: np.zeros(len(p)), dirichlet=ustar,
                           neumann=neumann, rho=RhoZero(), geometry=ELL1)
     sol = solve_linear(problem, ks, mq_pair(3.0))
-    pts = interior_points(ELL1, 30, seed=13)
+    pts = ELL1.interior_samples(30, seed=13)
     np.testing.assert_allclose(evaluate(sol, pts), ustar(pts), atol=1e-4)
 
 
@@ -176,7 +176,7 @@ def test_neumann_rows_meet_their_data_with_forcing_and_interior_knots():
     # laplacian u + u = x, u* = sin x + x: a non-zero u_p, so the Neumann
     # rows are corrected by its normal derivative; interior knots enrich it
     ks = ellipse_knots(ELL1, 12).with_dirichlet_count(6).with_interior(
-        interior_points(ELL1, 3, seed=2, shrink=0.8))
+        ELL1.interior_samples(3, seed=2, shrink=0.8))
     nd, nb = ks.dirichlet_count, ks.n_boundary
 
     def neumann(p):
@@ -201,7 +201,7 @@ def test_neumann_rows_meet_their_data_with_forcing_and_interior_knots():
 
 def test_interior_knots_enrich_fit_without_changing_bc():
     problem = helmholtz_problem()
-    ks = ellipse_knots(ELL1, 7).with_interior(interior_points(ELL1, 5, seed=2,
+    ks = ellipse_knots(ELL1, 7).with_interior(ELL1.interior_samples(5, seed=2,
                                                               shrink=0.8))
     sol = solve_linear(problem, ks, mq_pair(3.0))
     assert sol.interior_u is not None
@@ -213,7 +213,7 @@ def test_interior_knots_enrich_fit_without_changing_bc():
 
 def test_interior_values_are_the_field_at_the_interior_knots():
     # interior_u reuses the knot distances; evaluate() recomputes them
-    ks = ellipse_knots(ELL1, 7).with_interior(interior_points(ELL1, 5, seed=2,
+    ks = ellipse_knots(ELL1, 7).with_interior(ELL1.interior_samples(5, seed=2,
                                                               shrink=0.8))
     sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
     np.testing.assert_array_equal(sol.interior_u, evaluate(sol, ks.interior))
@@ -254,10 +254,10 @@ def test_coupled_linear_identity_operator_recovers_poisson():
     problem = ProblemSpec(forcing=lambda p: np.ones(len(p)), dirichlet=exact,
                           rho=RhoLinear(_phi_hat_images), geometry=ELL1)
     ks = ellipse_knots(ELL1, 12).with_interior(
-        interior_points(ELL1, 8, seed=5, shrink=0.85))
+        ELL1.interior_samples(8, seed=5, shrink=0.85))
     sol = solve_linear(problem, ks, mq_pair(1.0))
     assert len(sol.diagnostics) == 3
-    pts = interior_points(ELL1, 30, seed=1, shrink=0.9)
+    pts = ELL1.interior_samples(30, seed=1, shrink=0.9)
     err = np.max(np.abs(evaluate(sol, pts) - exact(pts)))
     assert err < 0.05
     # the combined equations hold at the knots
@@ -274,7 +274,7 @@ def test_coupled_zero_images_match_plain_path():
                                   rho=RhoLinear(lambda k, kr: np.zeros((k.size, k.size))),
                                   geometry=ELL1)
     ks = ellipse_knots(ELL1, 10).with_interior(
-        interior_points(ELL1, 4, seed=9, shrink=0.8))
+        ELL1.interior_samples(4, seed=9, shrink=0.8))
     s0 = solve_linear(problem_zero, ks, mq_pair(3.0))
     s1 = solve_linear(problem_coupled, ks, mq_pair(3.0))
     np.testing.assert_allclose(s1.lam, s0.lam, atol=1e-9)
@@ -298,7 +298,7 @@ def test_coupled_boundary_only_zero_images_match_plain_path():
     assert [s1.diagnostics[0], s1.diagnostics[2]] == list(s0.diagnostics)
     np.testing.assert_array_equal(s1.lam, s0.lam)
     np.testing.assert_array_equal(s1.drm_fit.alpha, s0.drm_fit.alpha)
-    pts = np.vstack([ks.boundary_positions, interior_points(ELL1, 20, seed=4)])
+    pts = np.vstack([ks.boundary_positions, ELL1.interior_samples(20, seed=4)])
     np.testing.assert_array_equal(evaluate(s1, pts), evaluate(s0, pts))
 
 
@@ -324,7 +324,7 @@ def test_linear_rest_solution_meets_its_equations(a, aspect, n_boundary,
     ell = Ellipse(np.zeros(2), a, a * aspect)
     ks = ellipse_knots(ell, n_boundary)
     if n_interior:
-        ks = ks.with_interior(interior_points(ell, n_interior, seed, shrink=0.8))
+        ks = ks.with_interior(ell.interior_samples(n_interior, seed, shrink=0.8))
     exact = helmholtz_problem().exact
     problem = ProblemSpec(
         forcing=lambda p: p[:, 0] - beta * exact(p), dirichlet=exact,
@@ -367,7 +367,7 @@ def test_coupled_rejects_basis_images_of_wrong_shape(n_interior):
                           rho=RhoLinear(lambda k, kr: np.zeros((k.size, k.size - 1))),
                           geometry=ELL1)
     ks = ellipse_knots(ELL1, 8).with_interior(
-        interior_points(ELL1, n_interior, seed=2, shrink=0.8))
+        ELL1.interior_samples(n_interior, seed=2, shrink=0.8))
     with pytest.raises(ValueError, match="must match"):
         solve_linear(problem, ks, mq_pair(1.0))
 
@@ -393,7 +393,7 @@ def test_nonlinear_zero_data_gives_zero_solution():
                           geometry=ELL2)
     ks = ellipse_knots(ELL2, 9)
     sol = solve_nonlinear_boundary_only(problem, ks, mq_pair(18.0))
-    pts = interior_points(ELL2, 20, seed=3)
+    pts = ELL2.interior_samples(20, seed=3)
     np.testing.assert_allclose(evaluate(sol, pts), 0.0, atol=1e-9)
 
 
@@ -449,7 +449,7 @@ def test_truncation_to_every_knot_equals_dense(solve, problem, n, c):
     assert np.max(np.abs(full.drm_fit.alpha - alpha)) <= \
         2 * cond_fit * gamma * np.max(np.abs(alpha))
     pts = np.vstack([ks.boundary_positions,
-                     interior_points(problem.geometry, 20, seed=4)])
+                     problem.geometry.interior_samples(20, seed=4)])
     u = evaluate(dense, pts)
     assert np.max(np.abs(evaluate(full, pts) - u)) <= \
         2 * (cond_fit + cond_coll) * gamma * np.max(np.abs(u))
@@ -510,7 +510,7 @@ def test_three_dimensional_solve_on_unit_sphere():
 def test_evaluate_matches_sum_of_components():
     ks = ellipse_knots(ELL1, 7)
     sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
-    pts = interior_points(ELL1, 10, seed=21)
+    pts = ELL1.interior_samples(10, seed=21)
     total = evaluate(sol, pts)
     v = evaluate_homogeneous(sol, pts)
     up = evaluate_particular(sol.drm_fit, pts)
@@ -525,6 +525,6 @@ def test_homogeneous_component_satisfies_helmholtz(ellipse, n, c):
     sol = solve_linear(helmholtz_problem(ellipse), ks, mq_pair(c))
     v = lambda p: evaluate_homogeneous(sol, p)
     scale = max(1.0, np.sum(np.abs(sol.lam)))
-    for p in interior_points(ellipse, 25, seed=17):
+    for p in ellipse.interior_samples(25, seed=17):
         resid = fd_laplacian(v, p, h=1e-4) + v(p)
         assert abs(resid) <= 1e-6 * scale

@@ -90,6 +90,11 @@ def test_radial_distance_basics():
     assert d[1, 2] == pytest.approx(np.sqrt(0.3**2 + 0.35**2), abs=1e-15)
 
 
+def test_radial_distance_dimension_mismatch():
+    with pytest.raises(ValueError):
+        pairwise_distances(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0, 3.0]]))
+
+
 @given(ax=coord, ay=coord, bx=coord, by=coord, cx=coord, cy=coord)
 def test_radial_distance_metric_axioms(ax, ay, bx, by, cx, cy):
     pts = np.array([[ax, ay], [bx, by], [cx, cy]])

@@ -35,7 +35,7 @@ for r in (0.0, 0.5, 2.0):
 print()
 
 # data-weighted kernels for interior / Dirichlet / Neumann source points
-forcing = lambda x: 1.0 + x[0]
+forcing = lambda x: 1.0 + x[..., 0]
 interior_kernel = make_gsr("interior", g=safe_log, m=1, forcing=forcing)
 dirichlet_kernel = make_gsr("dirichlet", g=safe_log, m=1,
                             dirichlet=lambda x: 2.0, g_dr=lambda r: 1.0 / r)
@@ -48,8 +48,8 @@ print()
 # constrained interpolation: kernel part orthogonal to the constraint
 rng = np.random.default_rng(3)
 nodes = rng.uniform(-1.5, 1.5, size=(12, 2))
-target = lambda x: np.sin(x[0]) + 0.5 * x[1] ** 2
-values = np.array([target(x) for x in nodes])
+target = lambda x: np.sin(x[..., 0]) + 0.5 * x[..., 1] ** 2
+values = target(nodes)
 fit = constrained_interpolate(nodes, tps, psi=lambda x: 1.0, values=values)
 probe = np.array([0.3, -0.4])
 print("constrained thin-plate interpolation of sin x + y^2/2 on 12 nodes:")
@@ -65,5 +65,5 @@ d = timespace_distance([*p[0], p[1]], [*q[0], q[1]])
 print(f"time-space distance between x={p[0]}, t={p[1]} and x={q[0]}, "
       f"t={q[1]}: {d}")
 wave = make_gsr("wave", g=lambda r: np.exp(-r), m=1,
-                forcing=lambda node: 1.0 + 0.1 * node[-1])
+                forcing=lambda node: 1.0 + 0.1 * node[..., -1])
 print(f"wave-kernel value at that separation: {wave(d, np.array([3.0, 0.0, 4.0])):.6f}")

@@ -8,6 +8,12 @@ Substituting sqrt(r^2 + c^2) for the radius inside g turns any of them into
 a pre-wavelet variant; time-dependent problems get kernels whose distance
 treats t as one more coordinate.
 
+Every data callable (``forcing``, ``dirichlet``, ``neumann``, ``psi``) takes
+points with their coordinates on the last axis, one ``(d,)`` or a batch
+``(n, d)``, and returns a value per point (or a constant), as ProblemSpec's
+do. Write coordinates as ``x[..., j]``: ``x[j]`` reads the j-th point of a
+batch. Time, for the time-dependent kinds, is the last coordinate.
+
 This module only constructs kernels and interpolates with them; no
 collocation solver is built on top.
 """
@@ -19,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._linalg import solve_checked
+from .geometry import pairwise_distances
 
 KINDS = ("interior", "dirichlet", "neumann", "simple", "wave",
          "extended_helmholtz", "transient")
@@ -31,15 +38,15 @@ _PREWAVELET_KINDS = ("interior", "dirichlet", "neumann", "simple")
 class GsrKernel:
     """An evaluable operator-adapted radial kernel.
 
-    Call with ``kernel(r, source)`` where ``source`` is the source-node
-    coordinate vector (with time as the last coordinate for the
-    time-dependent kinds); kinds without data functions ignore it.
+    Call with ``kernel(r, sources)``: a distance and one source node ``(d,)``,
+    or an (m, n) distance block and the n nodes ``(n, d)`` whose data weight
+    its columns (see the module docstring). Kinds without data ignore them.
     """
 
     kind: str
     g: Callable
     m: int = 1
-    forcing: Optional[Callable] = None           # f(x) or f(x, t) via node vector
+    forcing: Optional[Callable] = None           # f(x) or f(x, t) via the nodes
     dirichlet: Optional[Callable] = None
     neumann: Optional[Callable] = None
     rho_of_g: Optional[Callable] = None          # remaining operator applied to g
@@ -50,42 +57,34 @@ class GsrKernel:
     keep_rho: bool = True
     keep_smoothing: bool = True
 
-    def _radius(self, r):
-        if self.prewavelet_c > 0.0:
-            return np.sqrt(np.asarray(r, dtype=float) ** 2 + self.prewavelet_c**2)
-        return np.asarray(r, dtype=float)
-
     def _power(self, r):
-        if not self.keep_smoothing:
-            return 1.0
-        return np.asarray(r, dtype=float) ** (2 * self.m)
+        return r ** (2 * self.m) if self.keep_smoothing else 1.0
 
-    def __call__(self, r, source=None):
+    def __call__(self, r, sources=None):
         r = np.asarray(r, dtype=float)
-        s = self._radius(r)
-        kind = self.kind
-        if kind == "simple":
+        s = np.sqrt(r**2 + self.prewavelet_c**2) if self.prewavelet_c > 0.0 else r
+        if self.kind == "simple":
             return self._power(r) * self.g(s)
-        if kind == "interior":
-            data = self.forcing(source) if self.forcing is not None else 0.0
+        if self.kind == "interior":
+            data = self.forcing(sources) if self.forcing is not None else 0.0
             if self.keep_rho and self.rho_of_g is not None:
                 data = data + self.rho_of_g(s)
             return data * self._power(r) * self.g(s)
-        if kind == "dirichlet":
-            return self.dirichlet(source) * self._power(r) * self.g_dr(s)
-        if kind == "neumann":
-            return self.neumann(source) * self._power(r) * self.g(s)
-        if kind == "wave":
-            return self._power(r) * self.g(r) * self.forcing(source)
-        if kind == "extended_helmholtz":
+        if self.kind == "dirichlet":
+            return self.dirichlet(sources) * self._power(r) * self.g_dr(s)
+        if self.kind == "neumann":
+            return self.neumann(sources) * self._power(r) * self.g(s)
+        if self.kind == "wave":
+            return self._power(r) * self.g(r) * self.forcing(sources)
+        if self.kind == "extended_helmholtz":
             h = self.g(r)
-            bracket = self.forcing(source) + h + \
+            bracket = self.forcing(sources) + h + \
                 (1.0 + 1.0 / self.wave_speed**2) * self.g_tt(r)
             return h * bracket
-        if kind == "transient":
-            t = np.asarray(source, dtype=float)[-1]
-            return t ** (2 * self.m) * self.g(r, t) * self.forcing(source)
-        raise AssertionError(f"unreachable kind {kind!r}")
+        if self.kind == "transient":
+            t = np.asarray(sources, dtype=float)[..., -1]
+            return t ** (2 * self.m) * self.g(r, t) * self.forcing(sources)
+        raise AssertionError(f"unreachable kind {self.kind!r}")
 
 
 def make_gsr(kind: str, g: Callable, *, m: int = 1, forcing=None, dirichlet=None,
@@ -115,18 +114,17 @@ def make_gsr(kind: str, g: Callable, *, m: int = 1, forcing=None, dirichlet=None
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not (float(m).is_integer() and m >= 0):
+        raise ValueError(f"smoothness exponent m must be a non-negative integer, got {m}")
     m = int(m)
-    if m < 0:
-        raise ValueError(f"smoothness exponent m must be non-negative, got {m}")
     c = float(prewavelet_c)
-    if c < 0.0:
-        raise ValueError("prewavelet_c must be non-negative")
+    if not (np.isfinite(c) and c >= 0.0):
+        raise ValueError(f"prewavelet_c must be finite and non-negative, got {c}")
     if c > 0.0 and kind not in _PREWAVELET_KINDS:
         raise ValueError(f"the pre-wavelet substitution applies to kinds "
                          f"{_PREWAVELET_KINDS}, not {kind!r}")
-    if kind == "dirichlet":
-        if dirichlet is None or g_dr is None:
-            raise ValueError("kind='dirichlet' needs dirichlet data and g_dr")
+    if kind == "dirichlet" and (dirichlet is None or g_dr is None):
+        raise ValueError("kind='dirichlet' needs dirichlet data and g_dr")
     if kind == "neumann" and neumann is None:
         raise ValueError("kind='neumann' needs neumann data")
     if kind in ("wave", "extended_helmholtz", "transient") and forcing is None:
@@ -134,8 +132,8 @@ def make_gsr(kind: str, g: Callable, *, m: int = 1, forcing=None, dirichlet=None
     if kind == "extended_helmholtz":
         if g_tt is None or wave_speed is None:
             raise ValueError("kind='extended_helmholtz' needs g_tt and wave_speed")
-        if wave_speed == 0:
-            raise ValueError("wave_speed must be nonzero")
+        if not (np.isfinite(wave_speed) and wave_speed != 0):
+            raise ValueError(f"wave_speed must be finite and nonzero, got {wave_speed}")
     return GsrKernel(kind=kind, g=g, m=m, forcing=forcing, dirichlet=dirichlet,
                      neumann=neumann, rho_of_g=rho_of_g, g_dr=g_dr, g_tt=g_tt,
                      prewavelet_c=c, wave_speed=wave_speed,
@@ -150,7 +148,7 @@ def timespace_distance(p, q) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("coordinates must be finite")
-    return float(np.linalg.norm(a - b))
+    return float(pairwise_distances(a[None], b[None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,7 @@ class ConstrainedFit:
 
     @property
     def side_condition(self) -> float:
-        psi_vals = np.array([self.psi(x) for x in self.nodes])
-        return float(self.beta[:-1] @ psi_vals)
+        return float(self.beta[:-1] @ _on_points(self.psi, self.nodes))
 
 
 def constrained_interpolate(nodes, kernel: GsrKernel, psi: Callable,
@@ -189,14 +186,9 @@ def constrained_interpolate(nodes, kernel: GsrKernel, psi: Callable,
     if vals.shape != (n,):
         raise ValueError(f"values must have length {n}")
 
-    a = np.empty((n, n))
-    for k in range(n):
-        r = np.linalg.norm(pts - pts[k], axis=1)
-        a[:, k] = kernel(r, pts[k])
-    psi_vals = np.array([psi(x) for x in pts], dtype=float)
-
+    psi_vals = _on_points(psi, pts)
     bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = a
+    bordered[:n, :n] = kernel(pairwise_distances(pts, pts), pts)
     bordered[:n, n] = psi_vals
     bordered[n, :n] = psi_vals
     rhs = np.concatenate([vals, [0.0]])
@@ -204,9 +196,17 @@ def constrained_interpolate(nodes, kernel: GsrKernel, psi: Callable,
     return ConstrainedFit(beta=beta, psi=psi, nodes=pts, kernel=kernel)
 
 
-def evaluate_constrained(fit: ConstrainedFit, x) -> float:
-    """Evaluate the constrained representation at a point."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(fit.nodes - p, axis=1)
-    terms = np.array([fit.kernel(r[k], fit.nodes[k]) for k in range(len(fit.nodes))])
-    return float(terms @ fit.beta[:-1] + fit.beta[-1] * fit.psi(p))
+def evaluate_constrained(fit: ConstrainedFit, x):
+    """The constrained representation at a point (a float) or (m, d) points."""
+    p = np.asarray(x, dtype=float)
+    if p.ndim > 2 or not np.isfinite(p).all():
+        raise ValueError("expected a point or (m, d) points, with finite coordinates")
+    pts = np.atleast_2d(p)
+    u = fit.kernel(pairwise_distances(pts, fit.nodes), fit.nodes) @ fit.beta[:-1] \
+        + fit.beta[-1] * _on_points(fit.psi, pts)
+    return float(u[0]) if p.ndim < 2 else u
+
+
+def _on_points(fn, points):
+    """A data callable on an (n, d) batch of points, as n values."""
+    return np.broadcast_to(np.asarray(fn(points), dtype=float), points.shape[:1])

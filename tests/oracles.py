@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 Bessel values come from an extended-precision power-series summation,
-derivatives from finite differences, and zeros from bisection on the series.
+derivatives from finite differences, zeros from bisection on the series, and
+operator-adapted (GSR) kernel blocks from one kernel call per entry.
 """
 import mpmath as mp
 import numpy as np
@@ -96,3 +97,31 @@ def fibonacci_sphere(n, radius=1.0):
     t = np.pi * (1.0 + 5 ** 0.5) * i
     rho = np.sqrt(1.0 - z * z)
     return radius * np.column_stack([rho * np.cos(t), rho * np.sin(t), z])
+
+
+def safe_log(r):
+    """log r with the removable singularity at 0 filled by its r^2m limit."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    np.log(r, out=out, where=r > 0)
+    return out if out.ndim else float(out)
+
+
+def gsr_kernel_row(kernel, nodes, point):
+    """kernel(|point - x_k|, x_k) for each node x_k, one call per entry with
+    a scalar distance and the one source node x_k."""
+    p = np.asarray(point, dtype=float)
+    return np.array([kernel(float(np.linalg.norm(p - x)), x) for x in nodes])
+
+
+def gsr_bordered_beta(kernel, psi, nodes, values):
+    """Coefficients of the constrained GSR fit: the bordered system
+    [[A, psi], [psi^T, 0]] with A[i, k] = kernel(|x_i - x_k|, x_k) built entry
+    by entry, psi one node at a time, solved by np.linalg.solve."""
+    pts = np.asarray(nodes, dtype=float)
+    n = len(pts)
+    bordered = np.zeros((n + 1, n + 1))
+    for i, x in enumerate(pts):
+        bordered[i, :n] = gsr_kernel_row(kernel, pts, x)
+        bordered[i, n] = bordered[n, i] = psi(x)
+    return np.linalg.solve(bordered, np.append(values, 0.0))

@@ -17,7 +17,7 @@ from bkm.gsr import (constrained_interpolate, evaluate_constrained, make_gsr,
 from bkm.kernels import bessel_j0, bessel_j1, mq_pair
 from bkm.solver import (ProblemSpec, RhoZero, evaluate, evaluate_homogeneous,
                         solve_linear, solve_nonlinear_boundary_only)
-from oracles import series_j0, series_j1
+from oracles import safe_log, series_j0, series_j1
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -171,18 +171,12 @@ def test_criterion_08_frm_consistency():
 
 def test_criterion_09_gsr_suite():
     # side condition on a batch of fits
-    def safe_log(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        np.log(r, out=out, where=r > 0)
-        return out if out.ndim else float(out)
-
     tps = make_gsr("simple", g=safe_log, m=1)
     rng = np.random.default_rng(9)
     side_worst = 0.0
     interp_worst = 0.0
     for n, psi in ((8, lambda x: 1.0), (10, lambda x: 1.0),
-                   (12, lambda x: x[0]), (9, lambda x: 1.0 + x[1])):
+                   (12, lambda x: x[..., 0]), (9, lambda x: 1.0 + x[..., 1])):
         nodes = rng.uniform(-2, 2, size=(n, 2))
         values = rng.standard_normal(n)
         fit = constrained_interpolate(nodes, tps, psi, values)

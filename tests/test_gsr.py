@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bkm.errors import IllConditionedError
 from bkm.gsr import (KINDS, ConstrainedFit, constrained_interpolate,
                      evaluate_constrained, make_gsr, timespace_distance)
+from oracles import gsr_bordered_beta, gsr_kernel_row, safe_log
 
 coord = st.floats(min_value=-20.0, max_value=20.0,
                   allow_nan=False, allow_infinity=False)
-
-
-def safe_log(r):
-    """log r with the removable singularity at 0 filled by its r^2m limit."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    np.log(r, out=out, where=r > 0)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +33,11 @@ def test_prewavelet_simple_form_and_origin_value():
 def test_prewavelet_reduces_to_plain_at_zero_dilation(kind):
     kwargs = dict(g=safe_log, m=1)
     if kind == "interior":
-        kwargs.update(forcing=lambda x: 1.0 + x[0], rho_of_g=lambda r: 0.1 * r)
+        kwargs.update(forcing=lambda x: 1.0 + x[..., 0], rho_of_g=lambda r: 0.1 * r)
     if kind == "dirichlet":
-        kwargs.update(dirichlet=lambda x: 2.0 - x[1], g_dr=lambda r: 1.0 / r)
+        kwargs.update(dirichlet=lambda x: 2.0 - x[..., 1], g_dr=lambda r: 1.0 / r)
     if kind == "neumann":
-        kwargs.update(neumann=lambda x: x[0] * x[1])
+        kwargs.update(neumann=lambda x: x[..., 0] * x[..., 1])
     plain = make_gsr(kind, **kwargs)
     wavelet = make_gsr(kind, prewavelet_c=0.0, **kwargs)
     src = np.array([0.4, -0.2])
@@ -53,7 +46,7 @@ def test_prewavelet_reduces_to_plain_at_zero_dilation(kind):
 
 
 def test_interior_kind_formula():
-    f = lambda x: 2.0 + x[0]
+    f = lambda x: 2.0 + x[..., 0]
     rho = lambda r: 0.5 * r
     k = make_gsr("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho)
     src = np.array([1.0, 0.0])
@@ -95,7 +88,7 @@ def test_smoothing_power_can_be_dropped():
 
 
 def test_wave_kind_formula():
-    f = lambda node: node[0] + node[-1]     # f(x, t) on the space-time node
+    f = lambda node: node[..., 0] + node[..., -1]  # f(x, t) on the space-time node
     k = make_gsr("wave", g=np.cos, m=1, forcing=f)
     node = np.array([0.5, 2.0])
     assert k(1.2, node) == pytest.approx(1.2**2 * np.cos(1.2) * 2.5)
@@ -131,6 +124,13 @@ def test_make_gsr_validation():
     with pytest.raises(ValueError):
         make_gsr("extended_helmholtz", g=np.cos, forcing=lambda n: 1.0,
                  g_tt=lambda r: r, wave_speed=0.0)
+    with pytest.raises(ValueError):
+        make_gsr("simple", g=np.log, prewavelet_c=np.nan)
+    with pytest.raises(ValueError):
+        make_gsr("extended_helmholtz", g=np.cos, forcing=lambda n: 1.0,
+                 g_tt=lambda r: r, wave_speed=np.nan)
+    with pytest.raises(ValueError):
+        make_gsr("simple", g=np.log, m=1.7)
     assert set(KINDS) >= {"simple", "wave", "transient"}
 
 
@@ -166,7 +166,7 @@ def tps_kernel():
 def test_constraint_absorbs_psi_samples():
     rng = np.random.default_rng(0)
     nodes = rng.uniform(-1, 1, size=(8, 2))
-    psi = lambda x: 1.0 + 2.0 * x[0] - x[1]
+    psi = lambda x: 1.0 + 2.0 * x[..., 0] - x[..., 1]
     values = np.array([psi(x) for x in nodes])
     fit = constrained_interpolate(nodes, tps_kernel(), psi, values)
     np.testing.assert_allclose(fit.beta[:-1], 0.0, atol=1e-9)
@@ -195,7 +195,7 @@ def test_random_fit_interpolates_and_satisfies_side_condition():
 def test_constrained_fit_with_nonconstant_psi():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(-2, 2, size=(12, 2))
-    psi = lambda x: x[0]
+    psi = lambda x: x[..., 0]
     values = np.sin(nodes[:, 0]) + nodes[:, 1]
     fit = constrained_interpolate(nodes, tps_kernel(), psi, values)
     reproduced = np.array([evaluate_constrained(fit, x) for x in nodes])
@@ -223,8 +223,106 @@ def test_timespace_nodes_with_wave_kernel():
     # nodes carry (x, t); the kernel sees time-space radii
     nodes = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 1.5], [-0.7, 2.0]])
     kernel = make_gsr("wave", g=lambda r: np.exp(-r), m=1,
-                      forcing=lambda node: 1.0 + 0.1 * node[-1])
+                      forcing=lambda node: 1.0 + 0.1 * node[..., -1])
     values = np.array([0.5, -1.0, 2.0, 0.25])
     fit = constrained_interpolate(nodes, kernel, lambda x: 1.0, values)
     reproduced = np.array([evaluate_constrained(fit, x) for x in nodes])
     np.testing.assert_allclose(reproduced, values, atol=1e-9)
+
+
+def three_node_fit():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return constrained_interpolate(nodes, tps_kernel(), lambda x: 1.0,
+                                   np.array([1.0, 2.0, 3.0]))
+
+
+def test_evaluate_constrained_refuses_non_finite_points():
+    fit = three_node_fit()
+    for bad in ([np.nan, 0.0], [[0.2, 0.1], [np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_constrained(fit, bad)
+
+
+def test_evaluate_constrained_refuses_a_dimension_mismatch():
+    fit = three_node_fit()
+    for bad in ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            evaluate_constrained(fit, bad)
+
+
+# ---------------------------------------------------------------------------
+# Batched construction against the per-entry reference
+# ---------------------------------------------------------------------------
+
+def decay(r):
+    return np.exp(-r)
+
+
+#: One kernel per kind, the data-weighted ones with data that varies from
+#: node to node, so a source weighting the wrong axis changes the matrix.
+REFERENCE_KERNELS = {
+    "simple": ("simple", dict(g=safe_log, m=1)),
+    "prewavelet": ("simple", dict(g=safe_log, m=1, prewavelet_c=0.5)),
+    "interior": ("interior", dict(g=safe_log, m=1, forcing=lambda x: 2.0 + x[..., 0],
+                                  rho_of_g=lambda r: 0.1 * r)),
+    "dirichlet": ("dirichlet", dict(g=decay, m=1, dirichlet=lambda x: 2.0 - x[..., 1],
+                                    g_dr=lambda r: -np.exp(-r))),
+    "neumann": ("neumann", dict(g=safe_log, m=2,
+                                neumann=lambda x: 1.0 + x[..., 0] * x[..., 1])),
+    "wave": ("wave", dict(g=decay, m=1, forcing=lambda x: 1.0 + 0.1 * x[..., -1])),
+    "extended_helmholtz": ("extended_helmholtz", dict(
+        g=decay, g_tt=decay, forcing=lambda x: 1.0 + x[..., 0] ** 2, wave_speed=2.0)),
+    "transient": ("transient", dict(g=lambda r, t: np.exp(-r * r / (1.0 + t)), m=1,
+                                    forcing=lambda x: 2.0 + x[..., 0])),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3], ids=["plane", "space-time"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_KERNELS))
+def test_fit_and_evaluation_match_the_per_entry_reference(case, dim):
+    kind, kwargs = REFERENCE_KERNELS[case]
+    kernel = make_gsr(kind, **kwargs)
+    psi = lambda x: 1.0 + x[..., 0]
+    rng = np.random.default_rng(12)
+    nodes = rng.uniform(0.2, 1.5, size=(8, dim))   # t = x[..., -1] > 0
+    values = rng.standard_normal(8)
+    fit = constrained_interpolate(nodes, kernel, psi, values)
+    reference = gsr_bordered_beta(kernel, psi, nodes, values)
+    # the bordered condition numbers here stay below 1e5 and the entries
+    # agree to a few ulps, so beta agrees to ~1e5 * eps; 1e-10 leaves room
+    np.testing.assert_allclose(fit.beta, reference, rtol=0,
+                               atol=1e-10 * np.max(np.abs(reference)))
+
+    probes = rng.uniform(0.0, 1.7, size=(5, dim))
+    expected = np.array([gsr_kernel_row(kernel, nodes, p) @ reference[:-1] +
+                         reference[-1] * psi(p) for p in probes])
+    np.testing.assert_allclose(evaluate_constrained(fit, probes), expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected)))
+
+
+lattice_nodes = st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                         min_size=1, max_size=15, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=lattice_nodes, data=st.data(), constant_psi=st.booleans())
+def test_constrained_fit_property(cells, data, constant_psi):
+    # nodes on a 0.1 lattice in [-2, 2]^2 are at least 0.1 apart
+    nodes = 0.1 * np.array(cells, dtype=float)
+    n = len(nodes)
+    values = 0.1 * np.array(data.draw(st.lists(st.integers(-100, 100),
+                                               min_size=n, max_size=n)), dtype=float)
+    psi = (lambda x: 1.0) if constant_psi else (lambda x: x[..., 0])
+    try:
+        fit = constrained_interpolate(nodes, tps_kernel(), psi, values)
+    except IllConditionedError:
+        return
+    points = np.concatenate([nodes, nodes + 0.05])
+    single = [evaluate_constrained(fit, p) for p in points]
+    assert all(isinstance(v, float) for v in single)
+    single = np.array(single)
+    batch = evaluate_constrained(fit, points)
+    assert batch.shape == (2 * n,)
+    assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single))
+    assert np.max(np.abs(batch[:n] - values)) <= 1e-9 * np.max(np.abs(values))
+    assert abs(fit.side_condition) <= 1e-10

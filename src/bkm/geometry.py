@@ -274,9 +274,7 @@ def _normal_projections(points, normals, sources, r):
     """
     dots = np.einsum("...k,...k->...", points - sources, normals)
     proj = np.zeros_like(r)
-    ok = r > COINCIDENT_TOL
-    proj[ok] = dots[ok] / r[ok]
-    return proj
+    return np.divide(dots, r, out=proj, where=r > COINCIDENT_TOL)
 
 
 def _nearest_neighbours(dists: np.ndarray, k: int):

@@ -16,6 +16,15 @@ mpmath on a 160 001-point grid, the absolute error is at most 6.1e-16 on
 derivative are ``scipy.special.spherical_jn`` of order 0: against mpmath on
 [0, 200] plus a geometric grid on [1e-6, 2], both are within 4e-16
 absolute, with no cancellation in the derivative near the origin.
+
+Every dense kernel block is one output buffer of the block's shape, filled
+by in-place ufuncs (``out=``). ``phi_hat`` needs no other block-sized
+array, ``phi_hat_normal`` one more (s) and ``phi`` two more;
+``normal_derivative`` negates and scales the derivative's own array. The
+in-place forms apply the same floating-point operations in the same order
+as the plain expressions in the docstrings, so they give the same bits. A
+0-d or scalar radius still returns a numpy scalar, as a plain expression on
+it would.
 """
 from __future__ import annotations
 
@@ -46,6 +55,12 @@ def _bessel(fn, r):
     return float(result) if arr.ndim == 0 else result
 
 
+def _scalar_or_array(out):
+    # given out=, a ufunc returns that array even when it is 0-d, where a
+    # plain expression on a 0-d array returns a numpy scalar
+    return out if out.ndim else out[()]
+
+
 def bessel_j0(r):
     """Bessel function of the first kind, order zero.
 
@@ -71,7 +86,7 @@ class GeneralSolution:
 
     ``value(r)`` evaluates the solution, ``normal_derivative(r, projection)``
     its directional derivative given dr/dn (see
-    :func:`bkm.geometry._normal_projections`).
+    :func:`bkm.geometry._normal_projections`), which broadcasts to r's shape.
     """
 
     dimension: int
@@ -82,11 +97,15 @@ class GeneralSolution:
         return _bessel(lambda a: special.spherical_jn(0, a), r)   # sin(r)/r
 
     def normal_derivative(self, r, projection):
+        # the derivative's fresh array (a 0-d one for a 0-d r) is the output
         if self.dimension == 2:
-            dv = -bessel_j1(r)
+            out = np.asarray(bessel_j1(r))
+            np.negative(out, out=out)
         else:
-            dv = _bessel(lambda a: special.spherical_jn(0, a, derivative=True), r)
-        return dv * np.asarray(projection, dtype=float)
+            out = np.asarray(_bessel(
+                lambda a: special.spherical_jn(0, a, derivative=True), r))
+        out *= np.asarray(projection, dtype=float)
+        return _scalar_or_array(out)
 
 
 def helmholtz_general_solution(dim: int) -> GeneralSolution:
@@ -104,6 +123,16 @@ def helmholtz_general_solution(dim: int) -> GeneralSolution:
 # Multiquadric particular-solution pair
 # ---------------------------------------------------------------------------
 
+def _cube(s):
+    """s**3 in place by np.power; s*s*s rounds differently. A 0-d s is cubed
+    as a numpy scalar, by libm's pow: the array loop may be a SIMD pow (on
+    AVX-512 hosts) that differs from it in the last bit."""
+    if s.ndim == 0:
+        s[...] = s[()] ** 3
+        return s
+    return np.power(s, 3, out=s)
+
+
 @dataclass(frozen=True)
 class KernelPair:
     """Approximate particular solution and its Helmholtz image in d dimensions.
@@ -115,7 +144,7 @@ class KernelPair:
       ``phi_hat'' + (d - 1) phi_hat'/r + phi_hat`` (radial d-dimensional
       laplacian plus identity applied to phi_hat),
     * ``phi_hat_normal(r, p) = 3 r s p`` is the directional derivative of
-      phi_hat given p = dr/dn.
+      phi_hat given p = dr/dn, which broadcasts to r's shape.
 
     The first term of ``phi`` carries the square root: applying the operator
     to s^3 directly forces 3 d s, and the operator-consistency tests pin this
@@ -138,21 +167,36 @@ class KernelPair:
         return arr if arr.dtype.kind == "f" else arr.astype(float)
 
     def _s(self, r):
-        # r has been through _float_like
-        return np.sqrt(r * r + self.shape * self.shape)
+        """sqrt(r*r + c*c) in a fresh buffer; r has been through _float_like."""
+        s = np.multiply(r, r, out=np.empty_like(r))
+        s += self.shape * self.shape
+        return np.sqrt(s, out=s)
 
     def phi_hat(self, r):
-        return self._s(self._float_like(r)) ** 3
+        s = self._s(self._float_like(r))
+        return _scalar_or_array(_cube(s))
 
     def phi(self, r, dimension=2):
+        # ((3 d) s + ((3 r) r) / s) + s^3, term by term in that order
         r = self._float_like(r)
         s = self._s(r)
-        return (3.0 * dimension) * s + 3.0 * r * r / s + s**3
+        out = np.multiply(s, 3.0 * dimension, out=np.empty_like(s))
+        t = np.multiply(r, 3.0, out=np.empty_like(s))
+        t *= r
+        t /= s
+        out += t
+        out += _cube(s)
+        return _scalar_or_array(out)
 
     def phi_hat_normal(self, r, projection):
+        # ((3 r) s) p
         r = self._float_like(r)
         p = self._float_like(projection)
-        return 3.0 * r * self._s(r) * p
+        out = np.multiply(r, 3.0, out=np.empty_like(r, dtype=np.result_type(r, p)))
+        # (3 r) s rounds in r's precision even when p is wider
+        np.multiply(out, self._s(r), out=out, dtype=r.dtype)
+        out *= p
+        return _scalar_or_array(out)
 
 
 def mq_pair(c: float) -> KernelPair:

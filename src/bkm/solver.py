@@ -146,16 +146,20 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray
     follows the knot ordering.
     """
     nb = knots.n_boundary
-    return _boundary_operator((gs.value, gs.normal_derivative), knots,
-                              knots.distances[:, :nb], np.arange(knots.size),
-                              np.s_[:nb])
+    r = knots.distances[:, :nb]
+    if knots.neumann_count == 0:        # every row is the plain value
+        return gs.value(r)
+    return _boundary_operator((gs.value, gs.normal_derivative), knots, r,
+                              np.arange(knots.size), np.s_[:nb])
 
 
 def _particular_operator(fit: DrmFit, rows: slice) -> np.ndarray:
     """The boundary operator on u_p at the knots ``rows``."""
-    knots = fit.knots
-    return _boundary_operator((fit.kernel.phi_hat, fit.kernel.phi_hat_normal),
-                              knots, knots.distances[rows],
+    knots, kernel = fit.knots, fit.kernel
+    r = knots.distances[rows]
+    if knots.neumann_count == 0:        # every row is the plain value
+        return kernel.phi_hat(r) @ fit.alpha
+    return _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots, r,
                               np.arange(knots.size)[rows], np.s_[:]) @ fit.alpha
 
 

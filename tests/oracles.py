@@ -3,10 +3,17 @@
 Everything here deliberately avoids the library's own evaluation paths:
 Bessel values come from an extended-precision power-series summation,
 derivatives from finite differences, zeros from bisection on the series, and
-operator-adapted (GSR) kernel blocks from one kernel call per entry.
+operator-adapted (GSR) kernel blocks from one kernel call per entry. The
+reference kernels at the end are the plain whole-array expressions of the
+kernel blocks, one temporary per operation, which the library's in-place
+evaluation must match bit for bit; a bitwise comparison and an allocation
+peak serve the tests that check this.
 """
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 mp.mp.dps = 40
 
@@ -125,3 +132,82 @@ def gsr_bordered_beta(kernel, psi, nodes, values):
         bordered[i, :n] = gsr_kernel_row(kernel, pts, x)
         bordered[i, n] = bordered[n, i] = psi(x)
     return np.linalg.solve(bordered, np.append(values, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise comparison and allocation peaks
+# ---------------------------------------------------------------------------
+
+def value_bytes(x):
+    """The bytes that encode each value. An x87 long double holds 10 bytes
+    padded to 12 or 16, and the padding is arbitrary."""
+    a = np.ascontiguousarray(x)
+    used = 10 if np.finfo(a.dtype).nmant == 63 else a.itemsize
+    return a.view(np.uint8).reshape(-1, a.itemsize)[:, :used].tobytes()
+
+
+def assert_bit_identical(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.shape(got) == np.shape(want)
+    assert value_bytes(got) == value_bytes(want)
+
+
+def allocation_peak(fn) -> int:
+    """Peak bytes traced while fn() runs, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel blocks: plain expressions with a temporary per operation
+# ---------------------------------------------------------------------------
+
+def _mq_float_like(r):
+    arr = np.asarray(r)
+    return arr if arr.dtype.kind == "f" else arr.astype(float)
+
+
+def mq_phi_hat(c, r):
+    """s^3 with s = sqrt(r^2 + c^2)."""
+    r = _mq_float_like(r)
+    return np.sqrt(r * r + c * c) ** 3
+
+
+def mq_phi(c, r, dimension=2):
+    """3 d s + 3 r^2 / s + s^3."""
+    r = _mq_float_like(r)
+    s = np.sqrt(r * r + c * c)
+    return (3.0 * dimension) * s + 3.0 * r * r / s + s**3
+
+
+def mq_phi_hat_normal(c, r, projection):
+    """3 r s p."""
+    r = _mq_float_like(r)
+    p = _mq_float_like(projection)
+    return 3.0 * r * np.sqrt(r * r + c * c) * p
+
+
+def general_solution_normal_derivative(dimension, r, projection):
+    """-J1(r) p in 2-d, (sin(r)/r)' p in 3-d; a 0-d radius becomes a float."""
+    arr = np.asarray(r, dtype=float)
+    if dimension == 2:
+        dv = special.j1(arr)
+    else:
+        dv = special.spherical_jn(0, arr, derivative=True)
+    dv = float(dv) if arr.ndim == 0 else dv
+    return (-dv if dimension == 2 else dv) * np.asarray(projection, dtype=float)
+
+
+def normal_projections(points, normals, sources, r, tol):
+    """((x - s) . n) / r by boolean-mask gathers, 0 where r <= tol."""
+    dots = np.einsum("...k,...k->...", points - sources, normals)
+    proj = np.zeros_like(r)
+    ok = r > tol
+    proj[ok] = dots[ok] / r[ok]
+    return proj

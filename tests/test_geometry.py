@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from bkm.errors import DegenerateGeometryError
-from bkm.geometry import (Ellipse, KnotSet, _normal_projections, ellipse_knots,
-                          pairwise_distances)
+from bkm.geometry import (COINCIDENT_TOL, Ellipse, KnotSet, _normal_projections,
+                          ellipse_knots, pairwise_distances)
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
@@ -111,6 +112,27 @@ def test_normal_projection_collinear_orthogonal_degenerate():
     s = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, -0.7]])
     proj = _normal_projections(x, np.array([1.0, 0.0]), s, np.linalg.norm(x - s, axis=1))
     np.testing.assert_array_equal(proj, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_normal_projections_bit_identical_to_mask_gathers(dim, dtype):
+    # a block, a strided column slice of it, gathered pairs and one 0-d pair,
+    # each with a coincident point-source pair
+    rng = np.random.default_rng(dim)
+    x, s = rng.uniform(-3.0, 3.0, (7, dim)), rng.uniform(-3.0, 3.0, (10, dim))
+    s[5] = x[2]
+    n = rng.standard_normal((7, dim))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    r = pairwise_distances(x, s).astype(dtype)
+    pairs = np.array([0, 2, 2, 6]), np.array([1, 5, 4, 9])
+    cases = [(x[:, None], n[:, None], s, r), (x[:, None], n[:, None], s[:4], r[:, :4]),
+             (x[pairs[0]], n[pairs[0]], s[pairs[1]], r[pairs]),
+             (x[2], n[2], s[5], np.asarray(r[2, 5])), (x[3], n[3], s[1], np.asarray(r[3, 1]))]
+    for args in cases:
+        oracles.assert_bit_identical(
+            _normal_projections(*args),
+            oracles.normal_projections(*args, tol=COINCIDENT_TOL))
 
 
 @given(ax=coord, ay=coord, sx=coord, sy=coord, angle=st.floats(0, 2 * np.pi))

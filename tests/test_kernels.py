@@ -4,7 +4,9 @@ import pytest
 
 from bkm.kernels import (bessel_j0, bessel_j1, helmholtz_general_solution,
                          mq_pair)
-from oracles import (bisect_zero, fd_radial_laplacian, series_j0, series_j1)
+import oracles
+from oracles import (assert_bit_identical, bisect_zero, fd_radial_laplacian,
+                     series_j0, series_j1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +207,77 @@ def test_mq_vectorised_evaluation():
     np.testing.assert_allclose(pair.phi_hat(r),
                                [pair.phi_hat(v) for v in r])
     np.testing.assert_allclose(pair.phi(r), [pair.phi(v) for v in r])
+
+
+# ---------------------------------------------------------------------------
+# In-place kernel blocks against the plain expressions
+# ---------------------------------------------------------------------------
+
+LD = np.longdouble
+
+
+def radius_layouts(dim, dtype):
+    """Radii between two point sets with one coincident pair, as a 2-d block,
+    strided and transposed views of it, a row, and a 0-d array."""
+    rng = np.random.default_rng(dim)
+    a, b = rng.uniform(-6.0, 6.0, (12, dim)), rng.uniform(-6.0, 6.0, (9, dim))
+    b[4] = a[7]
+    r = np.linalg.norm(a[:, None] - b[None], axis=2).astype(dtype)
+    return {"block": r, "strided": r[:, :5], "transposed": r.T, "row": r[7],
+            "0-d": np.asarray(r[7, 4]), "0-d-nonzero": np.asarray(r[2, 1])}
+
+
+LAYOUT_CASES = [pytest.param(dim, dtype, name, id=f"{dim}d-{dtype.__name__}-{name}")
+                for dim in (2, 3) for dtype in (np.float64, LD)
+                for name in radius_layouts(2, float)]
+
+#: Scalars of each kind a caller passes; the result type must not change.
+SCALARS = [0.0, 2.5, 3, np.float64(2.5), LD(2.5)]
+
+
+def projections_like(r):
+    p = np.random.default_rng(r.size).uniform(-1.0, 1.0, r.shape).astype(r.dtype)
+    return p if p.ndim else p[()]
+
+
+@pytest.mark.parametrize("dim,dtype,layout", LAYOUT_CASES)
+def test_mq_blocks_bit_identical_to_plain_expressions(dim, dtype, layout):
+    r = radius_layouts(dim, dtype)[layout]
+    p = projections_like(r)
+    for c in (0.7, 4.0):
+        pair = mq_pair(c)
+        assert_bit_identical(pair.phi_hat(r), oracles.mq_phi_hat(c, r))
+        assert_bit_identical(pair.phi(r, dimension=dim),
+                             oracles.mq_phi(c, r, dimension=dim))
+        for proj in (p, 0.5):
+            assert_bit_identical(pair.phi_hat_normal(r, proj),
+                                 oracles.mq_phi_hat_normal(c, r, proj))
+
+
+@pytest.mark.parametrize("dim,dtype,layout", LAYOUT_CASES)
+def test_general_solution_normal_derivative_bit_identical(dim, dtype, layout):
+    r = radius_layouts(dim, dtype)[layout]
+    gs = helmholtz_general_solution(dim)
+    for proj in (projections_like(r), -0.25):
+        assert_bit_identical(gs.normal_derivative(r, proj),
+                             oracles.general_solution_normal_derivative(dim, r, proj))
+
+
+@pytest.mark.parametrize("r", SCALARS, ids=repr)
+def test_kernel_scalars_keep_their_result_type(r):
+    pair = mq_pair(1.5)
+    assert_bit_identical(pair.phi_hat(r), oracles.mq_phi_hat(1.5, r))
+    for dim in (2, 3):
+        assert_bit_identical(pair.phi(r, dimension=dim),
+                             oracles.mq_phi(1.5, r, dimension=dim))
+        assert_bit_identical(pair.phi_hat_normal(r, 0.3),
+                             oracles.mq_phi_hat_normal(1.5, r, 0.3))
+        assert_bit_identical(helmholtz_general_solution(dim).normal_derivative(r, 0.3),
+                             oracles.general_solution_normal_derivative(dim, r, 0.3))
+
+
+def test_mq_mixed_precision_projection_keeps_the_wider_type():
+    r = radius_layouts(2, np.float64)["block"]
+    p = projections_like(r.astype(LD))
+    assert_bit_identical(mq_pair(2.0).phi_hat_normal(r, p),
+                         oracles.mq_phi_hat_normal(2.0, r, p))

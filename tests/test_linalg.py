@@ -1,5 +1,7 @@
 """FactoredMatrix against the scipy wrappers it replaces, and the input checks
 that guard every dense solve and field evaluation."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,6 +14,7 @@ from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, ellipse_knots
 from bkm.kernels import _validated_radius, mq_pair
 from bkm.solver import ProblemSpec, solve_linear
+from oracles import allocation_peak
 
 LD = np.longdouble
 
@@ -34,11 +37,25 @@ def long_double_residual(a, b, x):
     return float(np.max(np.abs(b.astype(LD) - a.astype(LD) @ x.astype(LD))))
 
 
-@pytest.mark.parametrize("n", [7, 144])
+#: The largest n whose long-double residual is formed in one block.
+ONE_BLOCK = math.isqrt(_linalg._RESIDUAL_BLOCK_ENTRIES)
+
+
+@pytest.mark.parametrize("n", [1, 7, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1,
+                               144, 300])
 def test_vector_solve_bit_identical_to_scipy_oracle(n):
+    # the oracle forms the residual from the whole long-double matrix; the
+    # solver forms it a block of rows at a time past ONE_BLOCK
     a, b = well_conditioned(n, seed=n)
     got = FactoredMatrix(a).solve(b)
     assert got.tobytes() == lu_oracle(a, b, LD).tobytes()
+
+
+def test_vector_solve_makes_no_matrix_sized_copy():
+    n = 144
+    a, b = well_conditioned(n, seed=5)
+    f = FactoredMatrix(a)
+    assert allocation_peak(lambda: f.solve(b)) < n * n * 8
 
 
 def test_matrix_rhs_refines_with_a_float64_residual():

@@ -11,7 +11,7 @@ from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
                         solve_nonlinear_boundary_only)
-from oracles import fd_laplacian, fibonacci_sphere
+from oracles import allocation_peak, fd_laplacian, fibonacci_sphere
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
@@ -506,6 +506,30 @@ def test_three_dimensional_solve_on_unit_sphere():
 # ---------------------------------------------------------------------------
 # Field evaluation
 # ---------------------------------------------------------------------------
+
+def wide_solution():
+    """32 boundary and 112 interior knots on the 10x5 ellipse, c = 4."""
+    ks = ellipse_knots(ELL_WIDE, 32).with_interior(
+        ELL_WIDE.interior_samples(112, seed=1, shrink=0.8))
+    return solve_linear(helmholtz_problem(ELL_WIDE), ks, mq_pair(4.0))
+
+
+def test_evaluate_holds_two_distance_sized_blocks_at_most():
+    # the distances and the phi_hat block; the J0 block has N_b columns, and
+    # ufunc iterator buffers stay below another 2 m N_b entries
+    sol = wide_solution()
+    pts = ELL_WIDE.interior_samples(256, seed=4)
+    m, n, nb = len(pts), sol.knots.size, sol.knots.n_boundary
+    budget = (2 * m * n + 2 * m * nb) * 8 + 16 * 1024
+    assert allocation_peak(lambda: evaluate(sol, pts)) <= budget
+
+
+def test_phi_block_holds_three_blocks_at_most():
+    # the output, s and one term of phi
+    r = wide_solution().knots.distances
+    pair = mq_pair(4.0)
+    assert allocation_peak(lambda: pair.phi(r)) <= 3 * r.nbytes + 16 * 1024
+
 
 def test_evaluate_matches_sum_of_components():
     ks = ellipse_knots(ELL1, 7)

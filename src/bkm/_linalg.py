@@ -6,10 +6,11 @@ factorisation here produces a condition estimate and raises
 estimate passes ``COND_LIMIT``. A single iterative-refinement step is applied
 to each solve: its residual is accumulated in extended precision for one
 right-hand side, and in float64 BLAS for a matrix of them. The extended
-residual b - A x is formed a bounded block of rows at a time, converting
-only those rows of A to ``longdouble``, so no n x n long-double copy of the
-matrix is made. Each row's dot product runs in the same order as in the
-whole-matrix product, so the residual has the same bits.
+residual b - A x is formed by ``np.dot`` of a bounded block of rows of A
+with the ``longdouble`` x, so only those rows are converted and no n x n
+long-double copy of the matrix is made. Each row's dot product runs in the
+same order as in the whole-matrix ``longdouble`` product, so the residual
+has the same bits; ``np.dot`` skips the general matmul loop and is faster.
 
 LAPACK's ``dgetrf`` / ``dgetrs`` / ``dgecon`` are called directly: they are
 what ``scipy.linalg.lu_factor`` / ``lu_solve`` call, with the same arguments,
@@ -34,7 +35,7 @@ _LD = np.longdouble
 #: Long-double entries of A converted per block of the refinement residual
 #: (64 KB). Converting the whole matrix costs n^2 * 16 B per solve, 332 KB
 #: at n = 144, more than the float64 matrix itself; matrices of up to 64 x 64
-#: fit one block and keep the single whole-matrix expression.
+#: fit one block and take a single expression.
 _RESIDUAL_BLOCK_ENTRIES = 4096
 
 
@@ -106,12 +107,12 @@ class FactoredMatrix:
         a, x = self.matrix, x.astype(_LD)
         n = self.size
         rows = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
-        if rows >= n:
-            return (b.astype(_LD) - a.astype(_LD) @ x).astype(float)
+        if rows >= n:       # one block, without the loop's bookkeeping
+            return (b.astype(_LD) - np.dot(a, x)).astype(float)
         resid = np.empty(n)
         for i in range(0, n, rows):
             block = slice(i, i + rows)
-            resid[block] = b[block].astype(_LD) - a[block].astype(_LD) @ x
+            resid[block] = b[block].astype(_LD) - np.dot(a[block], x)
         return resid
 
     def _lu_solve(self, b):

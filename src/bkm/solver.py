@@ -16,7 +16,9 @@ dense factorisation, which is how tests assert the single-solve property.
 
 One function applies the boundary operator (the value, or on Neumann rows
 the normal derivative) to J0 for the dense rows and the truncated entries,
-and to ``phi_hat`` for the data correction D - u_p, N - du_p/dn and u_p.
+and to ``phi_hat`` for the data correction D - u_p, N - du_p/dn. Only a
+coupled linear rest builds the interior rows: elsewhere no solve reads
+them, and the field at the interior knots is evaluated only if asked for.
 
 The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
 systems are truncated to k nearest neighbours, their kernels evaluated at
@@ -96,14 +98,26 @@ class BkmSolution:
     ``lam`` weights the general-solution basis centred at the boundary
     knots; ``drm_fit`` carries the particular-solution expansion.
     ``diagnostics`` holds one record per dense factorisation performed.
+
+    ``interior_u`` is u at the interior knots, None without them. A linear
+    rest with interior knots solves for these values, and they are stored
+    as solved. Otherwise no solve needs them: they are the field there,
+    ``evaluate(solution, knots.interior)``, computed on first access and
+    then kept.
     """
 
     lam: np.ndarray
     drm_fit: DrmFit
     general_solution: GeneralSolution
     knots: KnotSet
-    interior_u: Optional[np.ndarray] = None
+    _interior_u: Optional[np.ndarray] = field(default=None, repr=False)
     diagnostics: tuple[SolveRecord, ...] = ()
+
+    @property
+    def interior_u(self) -> Optional[np.ndarray]:
+        if self._interior_u is None and self.knots.n_interior > 0:
+            self._interior_u = evaluate(self, self.knots.interior)
+        return self._interior_u
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +151,35 @@ def _boundary_operator(radial, knots: KnotSet, r, rows, cols):
     return out
 
 
-def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray:
+def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
+                              boundary_only: bool = False) -> np.ndarray:
     """Collocation rows of the general-solution expansion.
 
     Columns are indexed by the N boundary source knots. Dirichlet rows hold
     basis values, Neumann rows the normal derivative, and interior rows
     (appended after the boundary block) basis values again. Row order
-    follows the knot ordering.
+    follows the knot ordering. ``boundary_only`` builds the N boundary rows
+    alone, the square system of a solve whose interior values are not
+    unknowns; the default builds all N + L rows.
     """
     nb = knots.n_boundary
-    r = knots.distances[:, :nb]
+    m = nb if boundary_only else knots.size
+    r = knots.distances[:m, :nb]
     if knots.neumann_count == 0:        # every row is the plain value
         return gs.value(r)
     return _boundary_operator((gs.value, gs.normal_derivative), knots, r,
-                              np.arange(knots.size), np.s_[:nb])
+                              np.arange(m), np.s_[:nb])
 
 
-def _particular_operator(fit: DrmFit, rows: slice) -> np.ndarray:
-    """The boundary operator on u_p at the knots ``rows``."""
+def _particular_operator(fit: DrmFit) -> np.ndarray:
+    """The boundary operator on u_p at the boundary knots."""
     knots, kernel = fit.knots, fit.kernel
-    r = knots.distances[rows]
+    nb = knots.n_boundary
+    r = knots.distances[:nb]
     if knots.neumann_count == 0:        # every row is the plain value
         return kernel.phi_hat(r) @ fit.alpha
     return _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots, r,
-                              np.arange(knots.size)[rows], np.s_[:]) @ fit.alpha
+                              np.arange(nb), np.s_[:]) @ fit.alpha
 
 
 def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarray:
@@ -176,7 +195,7 @@ def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarr
             if fn is None:
                 raise ValueError(f"knots carry {kind} rows but no {kind} data was given")
             data[lo:hi] = fn(knots.boundary_positions[lo:hi])
-    return data - _particular_operator(fit, np.s_[:nb])
+    return data - _particular_operator(fit)
 
 
 def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
@@ -220,12 +239,13 @@ def _solve_stage(dense, entries, rhs, knots, frm_k, label):
 
 
 def _finish_two_step(problem, knots, kernel, frm_k=None):
-    """The one solve tail: particular fit, homogeneous solve, interior values.
+    """The one solve tail: particular fit, then the homogeneous solve.
 
     The fit is affine in the interior u-values, alpha = alpha_0 + alpha_u
     u_int. When it depends on them (a linear rest with interior knots), the
     interior rows u(x_j) = u_int_j join the collocation, whose unknowns are
-    then [lambda; u_int]; otherwise u_int is the field at the interior knots.
+    then [lambda; u_int]. Otherwise the collocation is the N boundary rows
+    alone, and u_int is left for :class:`BkmSolution` to evaluate on use.
     """
     nb = knots.n_boundary
     gs = helmholtz_general_solution(knots.dimension)
@@ -237,23 +257,18 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
                  condition=None if fit_lu is None else fit_lu.condition)
     rhs_h = _boundary_rhs(problem, knots, fit)
-    # a truncated solve has boundary knots only and needs no dense rows
-    rows = assemble_homogeneous_rows(knots, gs) if frm_k is None else None
     interior_u = None
     if rhs_u is None:
         lam, coll_lu = _solve_stage(
-            lambda: rows[:nb],
+            lambda: assemble_homogeneous_rows(knots, gs, boundary_only=True),
             lambda i, j: _boundary_operator((gs.value, gs.normal_derivative), knots,
                                             knots.distances[i, j], i, j),
             rhs_h, knots, frm_k, "collocation")
-        if knots.n_interior > 0:
-            # u = v + u_p at the interior knots, from rows already evaluated
-            interior_u = rows[nb:] @ lam + _particular_operator(fit, np.s_[nb:])
     else:
         # dense only: solve_* refuse frm_k with a linear rest
         alpha_u = fit_lu.solve(rhs_u)
         b = u_interp.matrix                   # phi_hat at the knots
-        system = np.hstack([rows, b @ alpha_u])
+        system = np.hstack([assemble_homogeneous_rows(knots, gs), b @ alpha_u])
         system[nb:, nb:] -= np.eye(knots.n_interior)
         coll_lu = FactoredMatrix(system, label="collocation")
         z = coll_lu.solve(np.concatenate([rhs_h, -b[nb:] @ alpha]))
@@ -263,7 +278,7 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     records = tuple(lu.record() for lu in (fit_lu, u_interp, coll_lu)
                     if lu is not None)
     return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots,
-                       interior_u=interior_u, diagnostics=records)
+                       _interior_u=interior_u, diagnostics=records)
 
 
 def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,

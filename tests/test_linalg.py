@@ -24,6 +24,15 @@ def well_conditioned(n, seed):
     return rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
 
 
+def wide_range(n, seed):
+    """A system whose entries span 1e-8 to 1e8 in magnitude: each row is
+    made diagonally dominant, so the scaling stays well inside COND_LIMIT."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+    a[np.diag_indices(n)] = 2 * np.abs(a).sum(axis=1)
+    return a, rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+
+
 def lu_oracle(a, b, residual_dtype):
     """lu_factor + lu_solve with one refinement step, residual in the given dtype."""
     lu = sla.lu_factor(a)
@@ -45,10 +54,10 @@ ONE_BLOCK = math.isqrt(_linalg._RESIDUAL_BLOCK_ENTRIES)
                                144, 300])
 def test_vector_solve_bit_identical_to_scipy_oracle(n):
     # the oracle forms the residual from the whole long-double matrix; the
-    # solver forms it a block of rows at a time past ONE_BLOCK
-    a, b = well_conditioned(n, seed=n)
-    got = FactoredMatrix(a).solve(b)
-    assert got.tobytes() == lu_oracle(a, b, LD).tobytes()
+    # solver forms it by np.dot, a block of rows at a time past ONE_BLOCK
+    for a, b in (well_conditioned(n, seed=n), wide_range(n, seed=n)):
+        got = FactoredMatrix(a).solve(b)
+        assert got.tobytes() == lu_oracle(a, b, LD).tobytes()
 
 
 def test_vector_solve_makes_no_matrix_sized_copy():

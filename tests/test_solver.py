@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bkm import kernels, solver
+from bkm._linalg import FactoredMatrix
 from bkm.drm import (build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import IllConditionedError
@@ -24,6 +26,22 @@ def helmholtz_problem(geometry=ELL1):
                        dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
                        rho=RhoZero(), geometry=geometry,
                        exact=lambda p: np.sin(p[:, 0]) + p[:, 0])
+
+
+def ellipse_neumann(ell):
+    """Neumann data of u* = sin x + x on ``ell``, from its outward normal."""
+    def neumann(p):
+        n = (p - ell.center) / np.array([ell.semi_major, ell.semi_minor]) ** 2
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        return (np.cos(p[:, 0]) + 1.0) * n[:, 0]
+    return neumann
+
+
+def mixed_problem(ell=ELL1):
+    """helmholtz_problem with Neumann data for knots that carry it."""
+    problem = helmholtz_problem(ell)
+    return ProblemSpec(forcing=problem.forcing, dirichlet=problem.dirichlet,
+                       neumann=ellipse_neumann(ell), geometry=ell)
 
 
 def nonlinear_problem():
@@ -178,16 +196,8 @@ def test_neumann_rows_meet_their_data_with_forcing_and_interior_knots():
     ks = ellipse_knots(ELL1, 12).with_dirichlet_count(6).with_interior(
         ELL1.interior_samples(3, seed=2, shrink=0.8))
     nd, nb = ks.dirichlet_count, ks.n_boundary
-
-    def neumann(p):
-        n = p / np.array([ELL1.semi_major, ELL1.semi_minor]) ** 2
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        return (np.cos(p[:, 0]) + 1.0) * n[:, 0]
-
-    problem = ProblemSpec(forcing=lambda p: p[:, 0],
-                          dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
-                          neumann=neumann, geometry=ELL1)
-    sol = solve_linear(problem, ks, mq_pair(3.0))
+    neumann = ellipse_neumann(ELL1)
+    sol = solve_linear(mixed_problem(), ks, mq_pair(3.0))
     fit = sol.drm_fit
     v_n = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))[nd:nb] @ sol.lam
     up_n = np.array([evaluate_particular_normal(fit, x, n) for x, n in
@@ -212,11 +222,107 @@ def test_interior_knots_enrich_fit_without_changing_bc():
 
 
 def test_interior_values_are_the_field_at_the_interior_knots():
-    # interior_u reuses the knot distances; evaluate() recomputes them
     ks = ellipse_knots(ELL1, 7).with_interior(ELL1.interior_samples(5, seed=2,
                                                               shrink=0.8))
     sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
     np.testing.assert_array_equal(sol.interior_u, evaluate(sol, ks.interior))
+
+
+def test_solve_evaluates_kernels_on_boundary_rows_only(monkeypatch):
+    # interior knots only enrich the fit: without a linear rest no J0 or
+    # phi_hat entry of an interior row is evaluated during the solve
+    ks = ellipse_knots(ELL1, 12).with_dirichlet_count(6).with_interior(
+        ELL1.interior_samples(3, seed=2, shrink=0.8))
+    nd, nb, n = ks.dirichlet_count, ks.n_boundary, ks.size
+    entries = {}
+
+    def count(owner, name, r_arg):
+        fn = getattr(owner, name)
+
+        def spy(*args):
+            entries[name] = entries.get(name, 0) + np.size(args[r_arg])
+            return fn(*args)
+        monkeypatch.setattr(owner, name, spy)
+
+    count(kernels, "bessel_j0", 0)
+    count(kernels, "bessel_j1", 0)
+    count(kernels.KernelPair, "phi_hat", 1)            # (self, r)
+    count(kernels.KernelPair, "phi_hat_normal", 1)     # (self, r, projection)
+    sol = solve_linear(mixed_problem(), ks, mq_pair(3.0))
+    assert sol.diagnostics[1].size == nb
+    # Dirichlet rows take values, Neumann rows derivatives, interior rows none
+    assert entries == {"bessel_j0": nd * nb, "bessel_j1": (nb - nd) * nb,
+                       "phi_hat": nd * n, "phi_hat_normal": (nb - nd) * n}
+
+
+def test_interior_values_are_evaluated_once_on_first_use(monkeypatch):
+    ks = ellipse_knots(ELL1, 7).with_interior(ELL1.interior_samples(5, seed=2,
+                                                              shrink=0.8))
+    calls = []
+    field_at = solver.evaluate
+    monkeypatch.setattr(solver, "evaluate",
+                        lambda sol, x: calls.append(x) or field_at(sol, x))
+    sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
+    assert calls == []
+    first = sol.interior_u
+    assert sol.interior_u is first
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], ks.interior)
+
+
+def test_coupled_interior_values_are_the_solved_unknowns(monkeypatch):
+    # a linear rest solves for u at the interior knots: those values are
+    # stored as solved and never re-evaluated from the field
+    ks = ellipse_knots(ELL1, 12).with_interior(
+        ELL1.interior_samples(8, seed=5, shrink=0.85))
+    exact = lambda p: (p[:, 0]**2 + p[:, 1]**2) / 4.0
+    problem = ProblemSpec(forcing=lambda p: np.ones(len(p)), dirichlet=exact,
+                          rho=RhoLinear(_phi_hat_images), geometry=ELL1)
+    solved = {}
+    factored_solve = FactoredMatrix.solve
+
+    def spy(self, rhs):
+        x = factored_solve(self, rhs)
+        solved[self.label] = x
+        return x
+
+    monkeypatch.setattr(FactoredMatrix, "solve", spy)
+    sol = solve_linear(problem, ks, mq_pair(1.0))
+
+    def refuse(*args):
+        raise AssertionError("interior values were re-evaluated")
+
+    monkeypatch.setattr(solver, "evaluate", refuse)
+    z = solved["collocation"]
+    assert sol.interior_u.tobytes() == z[ks.n_boundary:].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(1.0, 4.0), aspect=st.floats(0.4, 1.0),
+       n_boundary=st.integers(4, 14), neumann_share=st.floats(0.0, 1.0),
+       n_interior=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_boundary_rows_and_interior_values_property(a, aspect, n_boundary,
+                                                    neumann_share, n_interior,
+                                                    seed):
+    ell = Ellipse(np.zeros(2), a, a * aspect)
+    nd = n_boundary - int(round(neumann_share * n_boundary))
+    ks = ellipse_knots(ell, n_boundary).with_dirichlet_count(nd)
+    if n_interior:
+        ks = ks.with_interior(ell.interior_samples(n_interior, seed, shrink=0.8))
+    gs = helmholtz_general_solution(2)
+    boundary_rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
+    all_rows = assemble_homogeneous_rows(ks, gs)
+    assert boundary_rows.shape == (n_boundary, n_boundary)
+    assert all_rows.shape == (ks.size, n_boundary)
+    assert boundary_rows.tobytes() == all_rows[:n_boundary].tobytes()
+    try:
+        sol = solve_linear(mixed_problem(ell), ks, mq_pair(1.0))
+    except IllConditionedError:
+        return
+    if n_interior:
+        assert sol.interior_u.tobytes() == evaluate(sol, ks.interior).tobytes()
+    else:
+        assert sol.interior_u is None
 
 
 def test_solver_requires_boundary_data():

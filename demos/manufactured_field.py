@@ -36,10 +36,10 @@ knots = ellipse_knots(ellipse, 16).with_dirichlet_count(8)
 
 
 def neumann_data(p):
-    # flux of u* through the ellipse normal at each Neumann knot
-    idx = [np.flatnonzero(np.all(np.isclose(knots.boundary_positions, q),
-                                 axis=1))[0] for q in p]
-    normals = knots.boundary_normals[idx]
+    # flux of u* through the ellipse's outward normal at each boundary point
+    x, y = (p - ellipse.center).T
+    _, normals = ellipse.boundary(np.arctan2(y / ellipse.semi_minor,
+                                             x / ellipse.semi_major))
     diff = p - xstar
     r = np.linalg.norm(diff, axis=1)
     proj = np.einsum("ij,ij->i", diff, normals) / r

@@ -10,9 +10,8 @@ from ._linalg import COND_LIMIT, SolveRecord
 from .bench import (BenchmarkCase, ErrorReport, convergence_sweep, named_case,
                     report_csv_lines, report_table_lines, run_case,
                     table1_case, table2_case)
-from .drm import (DrmFit, apply_operator_coupling, build_interpolation_matrix,
-                  evaluate_particular, evaluate_particular_normal,
-                  fit_particular)
+from .drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
+                  evaluate_particular_normal)
 from .errors import BkmError, DegenerateGeometryError, IllConditionedError
 from .frm import SparseSystem, solve_sparse, truncate_system
 from .geometry import Ellipse, KnotSet, ellipse_knots
@@ -33,14 +32,12 @@ __all__ = [
     "Ellipse", "ErrorReport", "GeneralSolution", "GsrKernel",
     "IllConditionedError", "KernelPair", "KnotSet",
     "ProblemSpec", "RhoBoundaryNonlinear", "RhoLinear", "RhoZero",
-    "SolveRecord", "SparseSystem", "apply_operator_coupling",
-    "assemble_homogeneous_rows", "bessel_j0", "bessel_j1",
-    "build_interpolation_matrix", "constrained_interpolate",
+    "SolveRecord", "SparseSystem", "assemble_homogeneous_rows", "bessel_j0",
+    "bessel_j1", "build_interpolation_matrix", "constrained_interpolate",
     "convergence_sweep", "ellipse_knots", "evaluate", "evaluate_constrained",
     "evaluate_homogeneous", "evaluate_particular",
-    "evaluate_particular_normal", "fit_particular",
-    "helmholtz_general_solution", "make_gsr", "mq_pair", "named_case",
-    "report_csv_lines", "report_table_lines", "run_case",
-    "solve_linear", "solve_nonlinear_boundary_only", "solve_sparse",
+    "evaluate_particular_normal", "helmholtz_general_solution", "make_gsr",
+    "mq_pair", "named_case", "report_csv_lines", "report_table_lines",
+    "run_case", "solve_linear", "solve_nonlinear_boundary_only", "solve_sparse",
     "table1_case", "table2_case", "timespace_distance", "truncate_system",
 ]

@@ -125,8 +125,3 @@ def _check_info(routine, info):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
-
-def solve_checked(matrix, rhs, label="system"):
-    """Factor, solve and return (solution, SolveRecord)."""
-    f = FactoredMatrix(matrix, label=label)
-    return f.solve(rhs), f.record()

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import FactoredMatrix, solve_checked
 from .geometry import KnotSet, _normal_projections, as_point, pairwise_distances
 from .kernels import KernelPair
 
@@ -27,33 +26,16 @@ def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> np.ndarray
 
 @dataclass(frozen=True)
 class DrmFit:
-    """Particular-solution expansion coefficients over a knot set."""
+    """Particular-solution expansion coefficients over a knot set.
+
+    The solver fits ``alpha`` by one factorisation of
+    :func:`build_interpolation_matrix`; that factorisation's condition
+    estimate is recorded in ``BkmSolution.diagnostics``.
+    """
 
     alpha: np.ndarray
     kernel: KernelPair
     knots: KnotSet
-    condition: float | None = None
-
-    @property
-    def size(self) -> int:
-        return self.alpha.shape[0]
-
-
-def fit_particular(knots: KnotSet, kernel: KernelPair, rhs_values) -> DrmFit:
-    """Interpolate pre-evaluated right-hand-side values at all knots.
-
-    ``rhs_values`` are the values of the inhomogeneous term (forcing plus any
-    remaining-operator contribution) at the N+L knots, already evaluated by
-    the caller. Raises :class:`IllConditionedError` past condition 1e14.
-    """
-    rhs = np.asarray(rhs_values, dtype=float)
-    if rhs.shape != (knots.size,):
-        raise ValueError(
-            f"rhs_values must have length {knots.size}, got shape {rhs.shape}")
-    alpha, rec = solve_checked(build_interpolation_matrix(knots, kernel), rhs,
-                               label="particular-fit")
-    return DrmFit(alpha=alpha, kernel=kernel, knots=knots,
-                  condition=rec.condition)
 
 
 def _points_array(x, dimension):
@@ -87,19 +69,3 @@ def evaluate_particular_normal(fit: DrmFit, x, n):
     r = pairwise_distances(p[None, :], sources)[0]
     proj = _normal_projections(p, as_point(n), sources, r)
     return float(fit.kernel.phi_hat_normal(r, proj) @ fit.alpha)
-
-
-def apply_operator_coupling(fit_matrix: FactoredMatrix, rho_applied_basis) -> np.ndarray:
-    """Matrix sending nodal u-values to their remaining-operator contribution.
-
-    Given R[i, j] = (remaining operator applied to the particular-solution
-    basis centred at knot j, evaluated at knot i), returns R A^{-1} where A
-    is the factored symmetric matrix. Feeding R = A reproduces the identity.
-    """
-    r = np.asarray(rho_applied_basis, dtype=float)
-    if r.shape != fit_matrix.matrix.shape:
-        raise ValueError(
-            f"rho_applied_basis must match the interpolation matrix shape "
-            f"{fit_matrix.matrix.shape}, got {r.shape}")
-    # A is symmetric, so R A^{-1} = (A^{-1} R^T)^T
-    return fit_matrix.solve(r.T).T

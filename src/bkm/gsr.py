@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._linalg import solve_checked
+from ._linalg import FactoredMatrix
 from .geometry import pairwise_distances
 
 KINDS = ("interior", "dirichlet", "neumann", "simple", "wave",
@@ -192,7 +192,7 @@ def constrained_interpolate(nodes, kernel: GsrKernel, psi: Callable,
     bordered[:n, n] = psi_vals
     bordered[n, :n] = psi_vals
     rhs = np.concatenate([vals, [0.0]])
-    beta, _ = solve_checked(bordered, rhs, label="bordered interpolation")
+    beta = FactoredMatrix(bordered, label="bordered interpolation").solve(rhs)
     return ConstrainedFit(beta=beta, psi=psi, nodes=pts, kernel=kernel)
 
 

@@ -32,8 +32,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._linalg import FactoredMatrix, SolveRecord
-from .drm import (DrmFit, _points_array, apply_operator_coupling,
-                  build_interpolation_matrix)
+from .drm import DrmFit, _points_array, build_interpolation_matrix
 from .frm import solve_sparse, truncate_system
 from .geometry import Ellipse, KnotSet, _normal_projections, pairwise_distances
 from .kernels import GeneralSolution, KernelPair, helmholtz_general_solution
@@ -80,7 +79,10 @@ class ProblemSpec:
     """Operator split, data functions and geometry for one boundary problem.
 
     All data callables are vectorised: they take an (m, d) array of points
-    and return an array of m values.
+    and return an array of m values. Each one, ``RhoBoundaryNonlinear.apply``
+    included, must return exactly m values, shape (m,): a solve refuses any
+    other shape, a scalar or an (m, 1) column among them, naming the callable.
+    The Dirichlet and Neumann data are read once per solve.
     """
 
     forcing: Callable[[np.ndarray], np.ndarray]
@@ -171,22 +173,19 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
                               np.arange(m), np.s_[:nb])
 
 
-def _particular_operator(fit: DrmFit) -> np.ndarray:
-    """The boundary operator on u_p at the boundary knots."""
-    knots, kernel = fit.knots, fit.kernel
-    nb = knots.n_boundary
-    r = knots.distances[:nb]
-    if knots.neumann_count == 0:        # every row is the plain value
-        return kernel.phi_hat(r) @ fit.alpha
-    return _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots, r,
-                              np.arange(nb), np.s_[:]) @ fit.alpha
+def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
+    """``fn(points)`` for (m, d) ``points`` as m floats; any other shape is
+    refused with a message naming ``name``."""
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"{name} must return one value per point, shape "
+                         f"({len(points)},), got shape {values.shape}")
+    return values
 
 
-def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarray:
-    """Boundary data corrected by the particular solution, per knot type.
-
-    ``fit`` must be the particular fit over ``knots``, whose distances it reuses.
-    """
+def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
+    """The Dirichlet data at the Dirichlet knots, then the Neumann data at the
+    Neumann knots, each read once."""
     nd, nb = knots.dirichlet_count, knots.n_boundary
     data = np.empty(nb)
     for lo, hi, kind, fn in ((0, nd, "Dirichlet", problem.dirichlet),
@@ -194,37 +193,55 @@ def _boundary_rhs(problem: ProblemSpec, knots: KnotSet, fit: DrmFit) -> np.ndarr
         if lo < hi:
             if fn is None:
                 raise ValueError(f"knots carry {kind} rows but no {kind} data was given")
-            data[lo:hi] = fn(knots.boundary_positions[lo:hi])
-    return data - _particular_operator(fit)
+            data[lo:hi] = _read_data(kind.lower(), fn, knots.boundary_positions[lo:hi])
+    return data
 
 
-def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair):
+def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
+    """Boundary ``data`` less the boundary operator on u_p at the boundary
+    knots of ``fit``, whose distances it reuses."""
+    knots, kernel = fit.knots, fit.kernel
+    nb = knots.n_boundary
+    r = knots.distances[:nb]
+    if knots.neumann_count == 0:        # every row is the plain value
+        rows = kernel.phi_hat(r)
+    else:
+        rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots, r,
+                                  np.arange(nb), np.s_[:])
+    return data - rows @ fit.alpha
+
+
+def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
+             data: np.ndarray):
     """What the particular fit interpolates, affine in the interior u-values.
 
     Returns ``(rhs, rhs_u, u_interp)``: the fit's right-hand side is
     ``rhs + rhs_u @ u_int``. ``rhs`` is the forcing at every knot, plus a
-    boundary-nonlinear rest evaluated on the Dirichlet data, or a linear
-    rest applied to it. A linear rest also contributes ``rhs_u``, one column
+    boundary-nonlinear rest evaluated on the boundary ``data`` (all
+    Dirichlet whenever there is a rest), or a linear rest applied to it. A linear rest also contributes ``rhs_u``, one column
     per interior knot (None without them), and ``u_interp``, the factored
     phi_hat matrix the rest's images are mapped through (None otherwise).
     """
-    rhs = np.asarray(problem.forcing(knots.all_positions), dtype=float)
-    if rhs.shape != (knots.size,):
-        raise ValueError("forcing must return one value per knot")
+    rhs = _read_data("forcing", problem.forcing, knots.all_positions)
     if isinstance(problem.rho, RhoZero):
         return rhs, None, None
-    pts = knots.boundary_positions
-    u_b = np.asarray(problem.dirichlet(pts), dtype=float)
     if isinstance(problem.rho, RhoBoundaryNonlinear):
-        return rhs + np.asarray(problem.rho.apply(u_b, pts), dtype=float), None, None
+        rest = _read_data("RhoBoundaryNonlinear.apply",
+                          lambda p: problem.rho.apply(data, p), knots.boundary_positions)
+        return rhs + rest, None, None
     images = np.asarray(problem.rho.basis_images(knots, kernel), dtype=float)
+    n = knots.size
+    if images.shape != (n, n):
+        raise ValueError(f"basis_images must match the (N+L, N+L) = ({n}, {n}) "
+                         f"interpolation matrix shape, got {images.shape}")
     # u is quasi-interpolated in the particular-solution basis, so the
-    # operator images pair with the phi_hat interpolation matrix
+    # operator images R pair with the phi_hat interpolation matrix B:
+    # rho{u} = R B^{-1} u, and B is symmetric, so R B^{-1} = (B^{-1} R^T)^T
     u_interp = FactoredMatrix(kernel.phi_hat(knots.distances), label="u-interpolation")
-    coupling = apply_operator_coupling(u_interp, images)   # rho{u} = coupling @ u
+    coupling = u_interp.solve(images.T).T
     nb = knots.n_boundary
     rhs_u = coupling[:, nb:] if knots.n_interior > 0 else None
-    return rhs + coupling[:, :nb] @ u_b, rhs_u, u_interp
+    return rhs + coupling[:, :nb] @ data, rhs_u, u_interp
 
 
 def _solve_stage(dense, entries, rhs, knots, frm_k, label):
@@ -241,22 +258,23 @@ def _solve_stage(dense, entries, rhs, knots, frm_k, label):
 def _finish_two_step(problem, knots, kernel, frm_k=None):
     """The one solve tail: particular fit, then the homogeneous solve.
 
-    The fit is affine in the interior u-values, alpha = alpha_0 + alpha_u
-    u_int. When it depends on them (a linear rest with interior knots), the
-    interior rows u(x_j) = u_int_j join the collocation, whose unknowns are
-    then [lambda; u_int]. Otherwise the collocation is the N boundary rows
-    alone, and u_int is left for :class:`BkmSolution` to evaluate on use.
+    The boundary data is read once and serves both stages. The fit is
+    affine in the interior u-values, alpha = alpha_0 + alpha_u u_int. When
+    it depends on them (a linear rest with interior knots), the interior
+    rows u(x_j) = u_int_j join the collocation, whose unknowns are then
+    [lambda; u_int]. Otherwise the collocation is the N boundary rows alone,
+    and u_int is left for :class:`BkmSolution` to evaluate on use.
     """
     nb = knots.n_boundary
     gs = helmholtz_general_solution(knots.dimension)
-    rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel)
+    data = _boundary_data(problem, knots)
+    rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel, data)
     alpha, fit_lu = _solve_stage(
         lambda: build_interpolation_matrix(knots, kernel),
         lambda i, j: kernel.phi(knots.distances[i, j], dimension=knots.dimension),
         rhs, knots, frm_k, "particular-fit")
-    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots,
-                 condition=None if fit_lu is None else fit_lu.condition)
-    rhs_h = _boundary_rhs(problem, knots, fit)
+    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
+    rhs_h = _boundary_rhs(data, fit)
     interior_u = None
     if rhs_u is None:
         lam, coll_lu = _solve_stage(

@@ -3,7 +3,7 @@ import pytest
 
 import bkm.geometry
 import bkm.solver
-from bkm._linalg import solve_checked
+from bkm._linalg import FactoredMatrix
 from bkm.drm import build_interpolation_matrix
 from bkm.errors import BkmError, IllConditionedError
 from bkm.frm import SparseSystem, solve_sparse, truncate_system
@@ -214,7 +214,7 @@ def test_full_sparse_solve_matches_dense():
     ks, matrix, rhs = mq_system(20)
     sparse = truncate_system(matrix, rhs, ks, 20)
     x_sparse = solve_sparse(sparse)
-    x_dense, _ = solve_checked(matrix, rhs)
+    x_dense = FactoredMatrix(matrix).solve(rhs)
     assert np.max(np.abs(x_sparse - x_dense)) < 1e-10
     resid = np.max(np.abs(rhs - matrix @ x_sparse))
     assert resid <= 1e-9 * np.max(np.abs(rhs))

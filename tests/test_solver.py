@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +34,8 @@ def helmholtz_problem(geometry=ELL1):
 def ellipse_neumann(ell):
     """Neumann data of u* = sin x + x on ``ell``, from its outward normal."""
     def neumann(p):
-        n = (p - ell.center) / np.array([ell.semi_major, ell.semi_minor]) ** 2
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        x, y = (p - ell.center).T
+        _, n = ell.boundary(np.arctan2(y / ell.semi_minor, x / ell.semi_major))
         return (np.cos(p[:, 0]) + 1.0) * n[:, 0]
     return neumann
 
@@ -226,6 +229,19 @@ def test_interior_values_are_the_field_at_the_interior_knots():
                                                               shrink=0.8))
     sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
     np.testing.assert_array_equal(sol.interior_u, evaluate(sol, ks.interior))
+
+
+def test_fit_is_one_factorisation_of_the_interpolation_matrix():
+    # without a rest the fit interpolates the forcing: the solve's alpha is
+    # the fit stage run on its own, bit for bit
+    problem = helmholtz_problem()
+    ks = ellipse_knots(ELL1, 10).with_interior(
+        ELL1.interior_samples(4, seed=9, shrink=0.8))
+    pair = mq_pair(3.0)
+    sol = solve_linear(problem, ks, pair)
+    alpha = FactoredMatrix(build_interpolation_matrix(ks, pair)).solve(
+        problem.forcing(ks.all_positions))
+    assert sol.drm_fit.alpha.tobytes() == alpha.tobytes()
 
 
 def test_solve_evaluates_kernels_on_boundary_rows_only(monkeypatch):
@@ -474,7 +490,7 @@ def test_coupled_rejects_basis_images_of_wrong_shape(n_interior):
                           geometry=ELL1)
     ks = ellipse_knots(ELL1, 8).with_interior(
         ELL1.interior_samples(n_interior, seed=2, shrink=0.8))
-    with pytest.raises(ValueError, match="must match"):
+    with pytest.raises(ValueError, match="basis_images must match"):
         solve_linear(problem, ks, mq_pair(1.0))
 
 
@@ -536,6 +552,67 @@ def test_nonlinear_rejects_interior_knots_and_neumann():
 
 
 # ---------------------------------------------------------------------------
+# Data callables
+# ---------------------------------------------------------------------------
+
+def _misshapen(fn, shape):
+    """``fn`` returning its m values as an (m, 1) column or as one scalar."""
+    if shape == "column":
+        return lambda *args: np.asarray(fn(*args))[:, None]
+    return lambda *args: float(np.asarray(fn(*args))[0])
+
+
+def _with_misshapen(name, shape):
+    """(solve, problem, knots, kernel) with the callable ``name`` misshapen."""
+    if name == "RhoBoundaryNonlinear.apply":
+        problem = nonlinear_problem()
+        rho = RhoBoundaryNonlinear(_misshapen(problem.rho.apply, shape))
+        return (solve_nonlinear_boundary_only, replace(problem, rho=rho),
+                ellipse_knots(ELL2, 9), mq_pair(18.0))
+    problem = mixed_problem()
+    problem = replace(problem, **{name: _misshapen(getattr(problem, name), shape)})
+    return (solve_linear, problem, ellipse_knots(ELL1, 8).with_dirichlet_count(4),
+            mq_pair(3.0))
+
+
+@pytest.mark.parametrize("shape", ["column", "scalar"])
+@pytest.mark.parametrize("name", ["forcing", "dirichlet", "neumann",
+                                  "RhoBoundaryNonlinear.apply"])
+def test_data_callables_must_return_one_value_per_point(name, shape):
+    solve, problem, ks, kernel = _with_misshapen(name, shape)
+    message = re.escape(f"{name} must return one value per point")
+    with pytest.raises(ValueError, match=message):
+        solve(problem, ks, kernel)
+
+
+def _counting(fn, calls):
+    def counted(p):
+        calls.append(p)
+        return fn(p)
+    return counted
+
+
+@pytest.mark.parametrize("rest", ["nonlinear", "linear"])
+def test_solve_reads_dirichlet_data_once(rest):
+    calls = []
+    if rest == "nonlinear":         # table2's problem and knot set
+        problem = nonlinear_problem()
+        problem = replace(problem, dirichlet=_counting(problem.dirichlet, calls))
+        ks = ellipse_knots(ELL2, 9)
+        solve_nonlinear_boundary_only(problem, ks, mq_pair(18.0))
+    else:
+        exact = lambda p: (p[:, 0]**2 + p[:, 1]**2) / 4.0
+        problem = ProblemSpec(forcing=lambda p: np.ones(len(p)),
+                              dirichlet=_counting(exact, calls),
+                              rho=RhoLinear(_phi_hat_images), geometry=ELL1)
+        ks = ellipse_knots(ELL1, 12).with_interior(
+            ELL1.interior_samples(8, seed=5, shrink=0.85))
+        solve_linear(problem, ks, mq_pair(1.0))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], ks.boundary_positions)
+
+
+# ---------------------------------------------------------------------------
 # Truncated (FRM) solves
 # ---------------------------------------------------------------------------
 
@@ -586,7 +663,6 @@ def test_truncation_rejects_interior_knots_before_assembly():
 def test_truncated_solution_records_no_diagnostics(solve, problem, n, c):
     sol = solve(problem, ellipse_knots(problem.geometry, n), mq_pair(c), frm_k=5)
     assert sol.diagnostics == ()
-    assert sol.drm_fit.condition is None
     assert np.all(np.isfinite(sol.lam))
 
 

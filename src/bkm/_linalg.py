@@ -35,7 +35,7 @@ _LD = np.longdouble
 #: Long-double entries of A converted per block of the refinement residual
 #: (64 KB). Converting the whole matrix costs n^2 * 16 B per solve, 332 KB
 #: at n = 144, more than the float64 matrix itself; matrices of up to 64 x 64
-#: fit one block and take a single expression.
+#: fit one block.
 _RESIDUAL_BLOCK_ENTRIES = 4096
 
 
@@ -107,8 +107,6 @@ class FactoredMatrix:
         a, x = self.matrix, x.astype(_LD)
         n = self.size
         rows = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
-        if rows >= n:       # one block, without the loop's bookkeeping
-            return (b.astype(_LD) - np.dot(a, x)).astype(float)
         resid = np.empty(n)
         for i in range(0, n, rows):
             block = slice(i, i + rows)

@@ -23,7 +23,7 @@ from .errors import BkmError
 # not used here: test_tracer_replaces_by_name_imports_and_restores_them
 # (perfbench/tests) checks that the tracer replaces this by-name import
 from .frm import truncate_system  # noqa: F401
-from .geometry import Ellipse, ellipse_knots
+from .geometry import Ellipse, _checked_count, ellipse_knots
 from .kernels import mq_pair
 from .solver import (ProblemSpec, RhoBoundaryNonlinear, RhoZero, evaluate,
                      solve_linear, solve_nonlinear_boundary_only)
@@ -176,8 +176,8 @@ def run_case(case: BenchmarkCase, n_knots: int, c: float,
     Solver failures are recorded on the report (``error`` field) rather than
     raised, so sweeps can degrade gracefully.
     """
-    n_knots = int(n_knots)
     knots = ellipse_knots(case.problem.geometry, n_knots)
+    n_knots = knots.n_boundary
     kernel = mq_pair(c)
     solve = (solve_nonlinear_boundary_only
              if isinstance(case.problem.rho, RhoBoundaryNonlinear)
@@ -200,7 +200,7 @@ def run_case(case: BenchmarkCase, n_knots: int, c: float,
 
 def convergence_sweep(case: BenchmarkCase, knot_counts, c: float) -> list[ErrorReport]:
     """One report per knot count; counts must be ascending."""
-    counts = [int(n) for n in knot_counts]
+    counts = [_checked_count(n, "knot count", 1) for n in knot_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("knot counts must be strictly ascending")
     return [run_case(case, n, c) for n in counts]

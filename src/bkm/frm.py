@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IllConditionedError
-from .geometry import KnotSet
+from .geometry import KnotSet, _checked_count
 
 #: Sparse solves must be backward stable to this level: residual relative to
 #: |A| |x| + |b|. An rhs-relative gate would spuriously refuse backward-stable
@@ -60,7 +60,7 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int) -> SparseSystem:
     that one partition, and the dense ``phi_hat`` block the solver needs
     for ``u_p`` at the knots, which is global.
     """
-    n, k = knots.size, int(k)
+    n, k = knots.size, _checked_count(k, "neighbour count", 1, knots.size)
     if callable(matrix):
         entries = matrix
     else:

@@ -142,7 +142,7 @@ class KnotSet:
                 raise ValueError("interior coordinates must be finite")
 
         dc = bp.shape[0] if dirichlet_count is None else \
-            _checked_dirichlet_count(dirichlet_count, bp.shape[0])
+            _checked_count(dirichlet_count, "dirichlet_count", 0, bp.shape[0])
 
         allp = np.concatenate((bp, ip))
         dists = pairwise_distances(allp, allp)
@@ -191,10 +191,7 @@ class KnotSet:
         the distance matrix, plus a short stable sort for each row with a tie
         at its k-th distance.
         """
-        k = int(k)
-        if not 1 <= k <= self.size:
-            raise ValueError(
-                f"neighbour count must satisfy 1 <= k <= {self.size}, got {k}")
+        k = _checked_count(k, "neighbour count", 1, self.size)
         pattern = self._neighbours.get(k)
         if pattern is None:
             pattern = self._neighbours[k] = _nearest_neighbours(self._distances, k)
@@ -236,7 +233,7 @@ class KnotSet:
         matrix and neighbour patterns, and needs no coincidence check.
         """
         twin = copy.copy(self)
-        twin._dirichlet_count = _checked_dirichlet_count(count, self.n_boundary)
+        twin._dirichlet_count = _checked_count(count, "dirichlet_count", 0, self.n_boundary)
         return twin
 
     def __repr__(self):
@@ -294,11 +291,17 @@ def _nearest_neighbours(dists: np.ndarray, k: int):
     return indices, indptr
 
 
-def _checked_dirichlet_count(count, n_boundary: int) -> int:
-    count = int(count)
-    if not 0 <= count <= n_boundary:
-        raise ValueError("dirichlet_count out of range")
-    return count
+def _checked_count(value, name: str, lo: int, hi=np.inf) -> int:
+    """``value`` as an int, the one rule for every count: a whole number (an
+    int, a numpy integer or an integral float such as 7.0) from ``lo`` to
+    ``hi``. Anything else, 7.5, nan and inf among them, raises ValueError
+    naming ``name``."""
+    count = float(value)
+    if not count.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if not lo <= count <= hi:
+        raise ValueError(f"{name} out of range: expected {lo} to {hi}, got {value}")
+    return int(count)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -326,7 +329,5 @@ def ellipse_knots(e: Ellipse, n: int) -> KnotSet:
     Knot k sits at ``e.boundary(t_k)`` with t_k = 2*pi*k/n. The interior list
     is empty; use :meth:`KnotSet.with_interior` to add interior points.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("knot count must be at least 1")
+    n = _checked_count(n, "knot count", 1)
     return KnotSet(*e.boundary(2.0 * np.pi * np.arange(n) / n))

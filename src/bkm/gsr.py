@@ -10,9 +10,10 @@ treats t as one more coordinate.
 
 Every data callable (``forcing``, ``dirichlet``, ``neumann``, ``psi``) takes
 points with their coordinates on the last axis, one ``(d,)`` or a batch
-``(n, d)``, and returns a value per point (or a constant), as ProblemSpec's
-do. Write coordinates as ``x[..., j]``: ``x[j]`` reads the j-th point of a
-batch. Time, for the time-dependent kinds, is the last coordinate.
+``(n, d)``, and returns a value per point or a constant. ProblemSpec's data
+callables may not return a constant: a solve refuses any result but one
+value per point. Write coordinates as ``x[..., j]``: ``x[j]`` reads the j-th
+point of a batch. Time, for the time-dependent kinds, is the last coordinate.
 
 This module only constructs kernels and interpolates with them; no
 collocation solver is built on top.

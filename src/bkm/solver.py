@@ -126,29 +126,32 @@ class BkmSolution:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _boundary_operator(radial, knots: KnotSet, r, rows, cols):
+def _boundary_operator(radial, knots: KnotSet, rows, cols):
     """The boundary operator on a radial kernel ``(value, normal_derivative)``
-    at gathered knot distances ``r``: an (m, n) block, with ``rows`` its (m,)
-    knot indices and ``cols`` the slice of knots its columns span, or p index
-    pairs, all three (p,). ``rows`` ascend, so the Neumann rows (knots run
-    Dirichlet, Neumann, interior) are one run along axis 0: they take the
-    normal derivative at the row knot, every other entry the value."""
+    at knot distances: the normal derivative at the row knot on a Neumann
+    row, the value everywhere else. Two forms: a block, ``rows`` the count m
+    of leading knots and ``cols`` a slice of the knots, gives the (m, n)
+    block; gathered pairs, ``rows`` and ``cols`` (p,) index arrays with
+    ``rows`` ascending, give p entries. Knots run Dirichlet, Neumann,
+    interior, so either way the Neumann rows are one run along axis 0."""
     value, normal_derivative = radial
     nd, nb = knots.dirichlet_count, knots.n_boundary
-    lo, hi = rows.searchsorted((nd, nb)).tolist() if nd < nb else (0, 0)
+    if isinstance(rows, int):   # a block: (m, 1, d) row knots against (n, d) columns
+        r = knots.distances[:rows, cols]
+        lo, hi = min(nd, rows), min(nb, rows)
+        i, j = np.s_[lo:hi, None], cols
+    else:                       # gathered pairs: (p, d) against (p, d)
+        r = knots.distances[rows, cols]
+        lo, hi = rows.searchsorted((nd, nb)).tolist()
+        i, j = rows[lo:hi], cols[lo:hi]
     if lo == hi:
         return value(r)
     out = np.empty(r.shape)
     for a, b in ((0, lo), (hi, len(r))):    # kernels only where they are kept
         if a < b:
             out[a:b] = value(r[a:b])
-    i = rows[lo:hi]
-    x, n = knots.all_positions[i], knots.boundary_normals[i]
-    if r.ndim == 2:     # (m, 1, d) row knots against (n, d) columns
-        x, n, j = x[:, None], n[:, None], cols
-    else:               # (p, d) against (p, d)
-        j = cols[lo:hi]
-    proj = _normal_projections(x, n, knots.all_positions[j], r[lo:hi])
+    proj = _normal_projections(knots.all_positions[i], knots.boundary_normals[i],
+                               knots.all_positions[j], r[lo:hi])
     out[lo:hi] = normal_derivative(r[lo:hi], proj)
     return out
 
@@ -165,12 +168,8 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
     unknowns; the default builds all N + L rows.
     """
     nb = knots.n_boundary
-    m = nb if boundary_only else knots.size
-    r = knots.distances[:m, :nb]
-    if knots.neumann_count == 0:        # every row is the plain value
-        return gs.value(r)
-    return _boundary_operator((gs.value, gs.normal_derivative), knots, r,
-                              np.arange(m), np.s_[:nb])
+    return _boundary_operator((gs.value, gs.normal_derivative), knots,
+                              nb if boundary_only else knots.size, np.s_[:nb])
 
 
 def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
@@ -201,13 +200,8 @@ def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
     knots of ``fit``, whose distances it reuses."""
     knots, kernel = fit.knots, fit.kernel
-    nb = knots.n_boundary
-    r = knots.distances[:nb]
-    if knots.neumann_count == 0:        # every row is the plain value
-        rows = kernel.phi_hat(r)
-    else:
-        rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots, r,
-                                  np.arange(nb), np.s_[:])
+    rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots,
+                              knots.n_boundary, np.s_[:])
     return data - rows @ fit.alpha
 
 
@@ -279,8 +273,8 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     if rhs_u is None:
         lam, coll_lu = _solve_stage(
             lambda: assemble_homogeneous_rows(knots, gs, boundary_only=True),
-            lambda i, j: _boundary_operator((gs.value, gs.normal_derivative), knots,
-                                            knots.distances[i, j], i, j),
+            lambda i, j: _boundary_operator((gs.value, gs.normal_derivative),
+                                            knots, i, j),
             rhs_h, knots, frm_k, "collocation")
     else:
         # dense only: solve_* refuse frm_k with a linear rest
@@ -328,8 +322,6 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
             raise ValueError("a linear remaining operator requires Dirichlet "
                              "data on the whole boundary: u is otherwise "
                              "unknown at boundary knots")
-        if problem.dirichlet is None:
-            raise ValueError("Dirichlet data is required")
     return _finish_two_step(problem, knots, kernel, frm_k)
 
 
@@ -348,7 +340,7 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
         raise ValueError("the linear formulation of nonlinear problems holds "
                          "for boundary knots only; u at interior knots would "
                          "be unknown inside the remaining operator")
-    if knots.dirichlet_count != knots.n_boundary or problem.dirichlet is None:
+    if knots.dirichlet_count != knots.n_boundary:
         raise ValueError("Dirichlet data on the whole boundary is required: "
                          "the nonlinearity is evaluated from known u values")
     if not isinstance(problem.rho, RhoBoundaryNonlinear):

@@ -120,6 +120,20 @@ def test_run_case_validates_knot_count():
         run_case(table1_case(), 0, 3.0)
 
 
+@pytest.mark.parametrize("n_knots,frm_k,name", [(7.9, None, "knot count"),
+                                                (7, 2.5, "neighbour count")])
+def test_run_case_refuses_fractional_counts(n_knots, frm_k, name):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        run_case(table1_case(), n_knots, 3.0, frm_k=frm_k)
+
+
+@pytest.mark.parametrize("whole", [7.0, np.int64(7)])
+def test_run_case_reports_the_knot_count_it_placed(whole):
+    report = run_case(table1_case(), whole, 3.0)
+    assert type(report.n_knots) is int and report.n_knots == 7
+    assert report.computed.tobytes() == run_case(table1_case(), 7, 3.0).computed.tobytes()
+
+
 def test_run_case_with_frm_truncation():
     full = run_case(table1_case(), 7, 3.0)
     truncated = run_case(table1_case(), 7, 3.0, frm_k=7)
@@ -148,6 +162,8 @@ def test_convergence_sweep_single_and_validation():
     assert len(reports) == 1
     with pytest.raises(ValueError):
         convergence_sweep(table1_case(), [7, 5], 3.0)
+    with pytest.raises(ValueError, match="knot count must be a whole number"):
+        convergence_sweep(table1_case(), [5, 7.5], 3.0)
 
 
 def test_csv_lines_format():

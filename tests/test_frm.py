@@ -210,6 +210,14 @@ def test_truncate_validation():
         truncate_system(matrix[:5, :5], rhs[:5], ks, 3)
 
 
+def test_truncate_refuses_a_fractional_k_and_records_a_whole_one():
+    ks, matrix, rhs = mq_system(7)
+    with pytest.raises(ValueError, match="neighbour count must be a whole number"):
+        truncate_system(matrix, rhs, ks, 2.5)
+    sparse = truncate_system(matrix, rhs, ks, 3.0)
+    assert type(sparse.k) is int and sparse.matrix.nnz == 21
+
+
 def test_full_sparse_solve_matches_dense():
     ks, matrix, rhs = mq_system(20)
     sparse = truncate_system(matrix, rhs, ks, 20)

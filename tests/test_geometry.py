@@ -204,6 +204,32 @@ def test_neighbours_pattern_is_kept_and_read_only():
             ks.neighbours(bad)
 
 
+@pytest.mark.parametrize("bad", [7.9, 3.7, 2.5, np.nan, np.inf])
+def test_every_count_must_be_a_whole_number(bad):
+    e = Ellipse(np.zeros(2), 2.0, 1.0)
+    ks = ellipse_knots(e, 8)
+    for name, call in (
+            ("knot count", lambda: ellipse_knots(e, bad)),
+            ("dirichlet_count", lambda: KnotSet(ks.boundary_positions,
+                                                ks.boundary_normals,
+                                                dirichlet_count=bad)),
+            ("dirichlet_count", lambda: ks.with_dirichlet_count(bad)),
+            ("neighbour count", lambda: ks.neighbours(bad))):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            call()
+
+
+@pytest.mark.parametrize("whole", [7, 7.0, np.int64(7), np.float64(7.0)])
+def test_whole_counts_of_any_numeric_type_are_accepted(whole):
+    ks = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), whole)
+    assert ks.n_boundary == 7
+    for mixed in (ks.with_dirichlet_count(whole),
+                  KnotSet(ks.boundary_positions, ks.boundary_normals,
+                          dirichlet_count=whole)):
+        assert type(mixed.dirichlet_count) is int and mixed.dirichlet_count == 7
+    assert ks.neighbours(whole) is ks.neighbours(7)
+
+
 @given(point_set_pairs())
 def test_pairwise_distances_bit_identical_to_norm(pair):
     a, b = pair

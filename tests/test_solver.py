@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bkm import kernels, solver
 from bkm._linalg import FactoredMatrix
-from bkm.drm import (build_interpolation_matrix, evaluate_particular,
+from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
@@ -106,6 +106,43 @@ def test_dirichlet_only_collocation_matrix_symmetric():
     ks = ellipse_knots(ELL1, 9)
     rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
     assert np.max(np.abs(rows - rows.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("make_knots,c", [
+    (lambda: ellipse_knots(ELL1, 7), 3.0),
+    (lambda: ellipse_knots(ELL2, 9), 18.0),
+    (lambda: KnotSet(fibonacci_sphere(40), fibonacci_sphere(40),
+                     interior=fibonacci_sphere(20, 0.5)), 1.0)],
+    ids=["table1", "table2", "sphere"])
+def test_dirichlet_only_boundary_operator_is_the_plain_kernel(make_knots, c):
+    # with no Neumann row the boundary operator is the kernel value, bit for bit
+    ks, kernel = make_knots(), mq_pair(c)
+    gs = helmholtz_general_solution(ks.dimension)
+    nb = ks.n_boundary
+    rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
+    assert rows.tobytes() == gs.value(ks.distances[:nb, :nb]).tobytes()
+    rng = np.random.default_rng(nb)
+    fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=kernel, knots=ks)
+    data = rng.standard_normal(nb)
+    expected = data - kernel.phi_hat(ks.distances[:nb]) @ fit.alpha
+    assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
+
+
+def test_boundary_operator_block_and_gathered_pairs_agree():
+    ks = ellipse_knots(ELL_WIDE, 12).with_dirichlet_count(5).with_interior(
+        ELL_WIDE.interior_samples(4, seed=2, shrink=0.8))
+    gs = helmholtz_general_solution(2)
+    radial = (gs.value, gs.normal_derivative)
+    nb = ks.n_boundary
+    block = solver._boundary_operator(radial, ks, ks.size, np.s_[:nb])
+    assert block.shape == (ks.size, nb)
+    rows, cols = np.divmod(np.arange(ks.size * nb), nb)
+    gathered = solver._boundary_operator(radial, ks, rows, cols)
+    assert gathered.tobytes() == block.ravel().tobytes()
+    # a block of the leading rows is the leading rows of the whole block
+    for m in (3, 5, 9, nb):
+        part = solver._boundary_operator(radial, ks, m, np.s_[:nb])
+        assert part.tobytes() == block[:m].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +383,22 @@ def test_solver_requires_boundary_data():
     ks = ellipse_knots(ELL1, 5)
     with pytest.raises(ValueError):
         solve_linear(problem, ks, mq_pair(3.0))
+
+
+@pytest.mark.parametrize("rest", ["zero", "linear", "nonlinear"])
+def test_missing_dirichlet_data_is_refused_before_any_work(rest):
+    ks = ellipse_knots(ELL1, 7)
+    if rest == "nonlinear":
+        problem = ProblemSpec(forcing=_never,
+                              rho=RhoBoundaryNonlinear(apply=_never))
+        solve = solve_nonlinear_boundary_only
+    else:
+        problem = ProblemSpec(forcing=_never, rho=RhoZero() if rest == "zero"
+                              else RhoLinear(_never))
+        solve = solve_linear
+    with pytest.raises(ValueError, match="knots carry Dirichlet rows but no "
+                                         "Dirichlet data was given"):
+        solve(problem, ks, mq_pair(3.0))
 
 
 def test_solver_rejects_nonlinear_rho():
@@ -654,6 +707,16 @@ def test_truncation_rejects_interior_knots_before_assembly():
     ks = ellipse_knots(ELL1, 7).with_interior([[0.1, 0.2]])
     with pytest.raises(ValueError, match="frm_k"):
         solve_linear(problem, ks, mq_pair(3.0), frm_k=4)
+
+
+@pytest.mark.parametrize("solve,problem", [
+    (solve_linear, helmholtz_problem()),
+    (solve_nonlinear_boundary_only, nonlinear_problem())],
+    ids=["linear", "nonlinear"])
+def test_truncation_refuses_a_fractional_k(solve, problem):
+    ks = ellipse_knots(problem.geometry, 9)
+    with pytest.raises(ValueError, match="neighbour count must be a whole number"):
+        solve(problem, ks, mq_pair(3.0), frm_k=2.5)
 
 
 @pytest.mark.parametrize("solve,problem,n,c", [

@@ -79,7 +79,9 @@ class Ellipse:
     def interior_samples(self, n: int, seed, shrink: float = 1.0) -> np.ndarray:
         """n points strictly inside, with implicit value below ``shrink``, as
         (n, 2): uniform draws over the bounding box from ``default_rng(seed)``,
-        kept in draw order, so the same seed gives the same points."""
+        kept in draw order, so the same seed gives the same points. ``n``
+        is a count (see :func:`_checked_count`), 0 giving a (0, 2) array."""
+        n = _checked_count(n, "sample count", 0)
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         rng = np.random.default_rng(seed)

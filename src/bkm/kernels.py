@@ -18,13 +18,25 @@ derivative are ``scipy.special.spherical_jn`` of order 0: against mpmath on
 absolute, with no cancellation in the derivative near the origin.
 
 Every dense kernel block is one output buffer of the block's shape, filled
-by in-place ufuncs (``out=``). ``phi_hat`` needs no other block-sized
-array, ``phi_hat_normal`` one more (s) and ``phi`` two more;
-``normal_derivative`` negates and scales the derivative's own array. The
-in-place forms apply the same floating-point operations in the same order
-as the plain expressions in the docstrings, so they give the same bits. A
-0-d or scalar radius still returns a numpy scalar, as a plain expression on
-it would.
+by in-place ufuncs (``out=``). ``phi_hat`` needs no other block-sized array
+(given ``out=r``, not even its own), only the square root of one slice of
+at most 8192 entries (64 KB of float64) at a time; ``phi_hat_normal`` needs
+one more block (s) and ``phi`` two more; ``normal_derivative`` negates and
+scales the derivative's own array. The cube s^3 is formed as q * sqrt(q)
+with q = r^2 + c^2: ``sqrt`` and ``*`` are correctly rounded, so a scalar,
+a 0-d array and an entry of any block give the same bits on every IEEE
+host, where ``pow`` need not. The in-place forms apply the same
+floating-point operations in the same order as the plain expressions in
+the docstrings, so they give the same bits. A 0-d or scalar radius still
+returns a numpy scalar, as a plain expression on it would.
+
+A block-sized temporary can cost more than its arithmetic: allocated and
+freed on every call, it can move glibc's heap top or take fresh mmap
+pages, and each page the kernel hands back is a minor fault. On a solve
+with 144 knots and a 256-point evaluation (2-vCPU x86-64 guest, glibc
+defaults), a ``phi_hat`` that held its output block plus an unsliced
+``np.sqrt(q)`` took 184 minor faults per solve-and-evaluate in 6 of 6
+fresh processes; with 64 KB slices it took none. Hence the slices.
 """
 from __future__ import annotations
 
@@ -123,14 +135,19 @@ def helmholtz_general_solution(dim: int) -> GeneralSolution:
 # Multiquadric particular-solution pair
 # ---------------------------------------------------------------------------
 
-def _cube(s):
-    """s**3 in place by np.power; s*s*s rounds differently. A 0-d s is cubed
-    as a numpy scalar, by libm's pow: the array loop may be a SIMD pow (on
-    AVX-512 hosts) that differs from it in the last bit."""
-    if s.ndim == 0:
-        s[...] = s[()] ** 3
-        return s
-    return np.power(s, 3, out=s)
+#: Entries per slice of the cube; a slice's square root is 64 KB of float64.
+_CUBE_SLICE = 8192
+
+
+def _s_cubed(q):
+    """s^3 = q * sqrt(q) in place over the C-contiguous q, one slice of at
+    most ``_CUBE_SLICE`` entries at a time, so that the square root's
+    temporary stays small."""
+    flat = q.reshape(-1)
+    for lo in range(0, flat.size, _CUBE_SLICE):
+        part = flat[lo:lo + _CUBE_SLICE]
+        part *= np.sqrt(part)
+    return q
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,8 @@ class KernelPair:
 
     With s = sqrt(r^2 + c^2):
 
-    * ``phi_hat(r) = s^3`` is the particular-solution basis,
+    * ``phi_hat(r) = s^3`` is the particular-solution basis, formed as
+      q sqrt(q) with q = r^2 + c^2,
     * ``phi(r, dimension=d) = 3 d s + 3 r^2 / s + s^3`` equals
       ``phi_hat'' + (d - 1) phi_hat'/r + phi_hat`` (radial d-dimensional
       laplacian plus identity applied to phi_hat),
@@ -166,18 +184,33 @@ class KernelPair:
         arr = np.asarray(r)
         return arr if arr.dtype.kind == "f" else arr.astype(float)
 
+    def _q(self, r, out):
+        """q = r*r + c*c into ``out``; r has been through _float_like."""
+        np.multiply(r, r, out=out)
+        out += self.shape * self.shape
+        return out
+
     def _s(self, r):
         """sqrt(r*r + c*c) in a fresh buffer; r has been through _float_like."""
-        s = np.multiply(r, r, out=np.empty_like(r))
-        s += self.shape * self.shape
+        s = self._q(r, np.empty_like(r))
         return np.sqrt(s, out=s)
 
-    def phi_hat(self, r):
-        s = self._s(self._float_like(r))
-        return _scalar_or_array(_cube(s))
+    def phi_hat(self, r, out=None):
+        """q * sqrt(q), q = r*r + c*c. ``out``, if given, is a C-contiguous
+        array of r's shape and float dtype, r itself allowed; it is
+        returned, as a ufunc returns its ``out``."""
+        r = self._float_like(r)
+        if out is None:
+            return _scalar_or_array(_s_cubed(self._q(r, np.empty(r.shape, r.dtype))))
+        if not (isinstance(out, np.ndarray) and out.shape == r.shape
+                and out.dtype == r.dtype and out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous array of the "
+                             "radii's shape and float dtype")
+        return _s_cubed(self._q(r, out))
 
     def phi(self, r, dimension=2):
-        # ((3 d) s + ((3 r) r) / s) + s^3, term by term in that order
+        # ((3 d) s + ((3 r) r) / s) + q s, term by term in that order; the
+        # last term is phi_hat's q * sqrt(q), sqrt(q) being s
         r = self._float_like(r)
         s = self._s(r)
         out = np.multiply(s, 3.0 * dimension, out=np.empty_like(s))
@@ -185,7 +218,9 @@ class KernelPair:
         t *= r
         t /= s
         out += t
-        out += _cube(s)
+        t = self._q(r, t)
+        t *= s
+        out += t
         return _scalar_or_array(out)
 
     def phi_hat_normal(self, r, projection):

@@ -355,8 +355,9 @@ def evaluate(solution: BkmSolution, x):
     pts, scalar = _points_array(x, knots.dimension)
     r = pairwise_distances(pts, knots.all_positions)
     fit = solution.drm_fit
-    u = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam \
-        + fit.kernel.phi_hat(r) @ fit.alpha
+    # J0 reads the distances before phi_hat overwrites them with its block
+    v = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam
+    u = v + fit.kernel.phi_hat(r, out=r) @ fit.alpha
     return float(u[0]) if scalar else u
 
 

@@ -174,16 +174,18 @@ def _mq_float_like(r):
 
 
 def mq_phi_hat(c, r):
-    """s^3 with s = sqrt(r^2 + c^2)."""
+    """s^3 as q sqrt(q), with q = r^2 + c^2."""
     r = _mq_float_like(r)
-    return np.sqrt(r * r + c * c) ** 3
+    q = r * r + c * c
+    return q * np.sqrt(q)
 
 
 def mq_phi(c, r, dimension=2):
-    """3 d s + 3 r^2 / s + s^3."""
+    """3 d s + 3 r^2 / s + s^3, with s = sqrt(q) and s^3 as q s."""
     r = _mq_float_like(r)
-    s = np.sqrt(r * r + c * c)
-    return (3.0 * dimension) * s + 3.0 * r * r / s + s**3
+    q = r * r + c * c
+    s = np.sqrt(q)
+    return (3.0 * dimension) * s + 3.0 * r * r / s + q * s
 
 
 def mq_phi_hat_normal(c, r, projection):

@@ -214,7 +214,8 @@ def test_every_count_must_be_a_whole_number(bad):
                                                 ks.boundary_normals,
                                                 dirichlet_count=bad)),
             ("dirichlet_count", lambda: ks.with_dirichlet_count(bad)),
-            ("neighbour count", lambda: ks.neighbours(bad))):
+            ("neighbour count", lambda: ks.neighbours(bad)),
+            ("sample count", lambda: e.interior_samples(bad, seed=0))):
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             call()
 
@@ -228,6 +229,15 @@ def test_whole_counts_of_any_numeric_type_are_accepted(whole):
                           dirichlet_count=whole)):
         assert type(mixed.dirichlet_count) is int and mixed.dirichlet_count == 7
     assert ks.neighbours(whole) is ks.neighbours(7)
+    e = Ellipse(np.zeros(2), 2.0, 1.0)
+    assert e.interior_samples(whole, seed=3).tobytes() == \
+        e.interior_samples(7, seed=3).tobytes()
+
+
+def test_interior_samples_refuse_a_negative_count():
+    # a negative count used to return an empty (0, 2) array
+    with pytest.raises(ValueError, match="sample count out of range"):
+        Ellipse(np.zeros(2), 2.0, 1.0).interior_samples(-3, seed=0)
 
 
 @given(point_set_pairs())

@@ -1,12 +1,14 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from bkm import kernels
 from bkm.kernels import (bessel_j0, bessel_j1, helmholtz_general_solution,
                          mq_pair)
 import oracles
-from oracles import (assert_bit_identical, bisect_zero, fd_radial_laplacian,
-                     series_j0, series_j1)
+from oracles import (allocation_peak, assert_bit_identical, bisect_zero,
+                     fd_radial_laplacian, series_j0, series_j1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,74 @@ def test_mq_vectorised_evaluation():
     np.testing.assert_allclose(pair.phi(r), [pair.phi(v) for v in r])
 
 
+@given(st.floats(0.0, 200.0), st.floats(0.05, 50.0))
+@example(19.901930104706484, 3.0)    # s**3: 3.41 ulp; q sqrt(q): 1.41
+@example(1.0346964051195595, 3.0)    # s**3: 3.35 ulp; q sqrt(q): 1.35
+def test_mq_phi_hat_within_three_ulp_of_the_exact_cube(r, c):
+    # q sqrt(q) rounds five times (r r, c c, +, sqrt, *); a 2e4-radius scan
+    # at c = 3 peaks at 2.55 ulp (np.power on s: 3.61, s*s*s: 4.18)
+    with mp.workdps(40):
+        exact = (mp.mpf(r) ** 2 + mp.mpf(c) ** 2) ** mp.mpf(1.5)
+        err = abs(mp.mpf(float(mq_pair(c).phi_hat(r))) - exact)
+    assert float(err) <= 3 * np.spacing(float(exact))
+
+
+def _multi_slice_block():
+    """3 x 4111 radii: 12333 entries, more than one slice of the cube."""
+    r = np.random.default_rng(11).uniform(0.0, 20.0, (3, 4111))
+    assert r.size > kernels._CUBE_SLICE
+    return r
+
+
+def test_mq_scalar_0d_and_block_entry_give_the_same_bits():
+    r = _multi_slice_block()
+    pair = mq_pair(2.5)
+    blocks = {"phi_hat": pair.phi_hat(r), "phi": pair.phi(r)}
+    for idx in ((0, 5), (2, 4110)):      # in the first and in the last slice
+        for name, block in blocks.items():
+            fn = getattr(pair, name)
+            for x in (float(r[idx]), np.asarray(r[idx])):
+                assert_bit_identical(fn(x), block[idx])
+
+
+def test_mq_phi_hat_in_place_returns_the_radius_buffer():
+    r = _multi_slice_block()
+    pair = mq_pair(4.0)
+    want = pair.phi_hat(r.copy())
+    got = pair.phi_hat(r, out=r)
+    assert got is r
+    assert_bit_identical(got, want)
+
+
+def test_mq_phi_hat_leaves_its_radii_untouched():
+    r = _multi_slice_block()
+    before = r.tobytes()
+    pair = mq_pair(4.0)
+    pair.phi_hat(r)
+    pair.phi(r)
+    assert r.tobytes() == before
+
+
+def test_mq_phi_hat_out_must_match_the_radii():
+    r = _multi_slice_block()
+    pair = mq_pair(1.0)
+    for out in (np.empty((4111, 3)), np.empty(r.shape, np.float32),
+                np.empty(r.shape[::-1]).T, r.tolist()):
+        with pytest.raises(ValueError, match="out must be"):
+            pair.phi_hat(r, out=out)
+
+
+def test_mq_phi_hat_holds_one_slice_besides_its_block():
+    # the output block, and the square root of one slice of 8192 entries
+    r = _multi_slice_block()
+    pair = mq_pair(4.0)
+    slack = 4 * 1024
+    slice_bytes = kernels._CUBE_SLICE * r.itemsize
+    assert allocation_peak(lambda: pair.phi_hat(r)) <= r.nbytes + slice_bytes + slack
+    block = r.copy()
+    assert allocation_peak(lambda: pair.phi_hat(r, out=block)) <= slice_bytes + slack
+
+
 # ---------------------------------------------------------------------------
 # In-place kernel blocks against the plain expressions
 # ---------------------------------------------------------------------------
@@ -218,13 +288,15 @@ LD = np.longdouble
 
 def radius_layouts(dim, dtype):
     """Radii between two point sets with one coincident pair, as a 2-d block,
-    strided and transposed views of it, a row, and a 0-d array."""
+    strided and transposed views of it, a row, and a 0-d array; and a block
+    of more than one slice of the cube."""
     rng = np.random.default_rng(dim)
     a, b = rng.uniform(-6.0, 6.0, (12, dim)), rng.uniform(-6.0, 6.0, (9, dim))
     b[4] = a[7]
     r = np.linalg.norm(a[:, None] - b[None], axis=2).astype(dtype)
     return {"block": r, "strided": r[:, :5], "transposed": r.T, "row": r[7],
-            "0-d": np.asarray(r[7, 4]), "0-d-nonzero": np.asarray(r[2, 1])}
+            "0-d": np.asarray(r[7, 4]), "0-d-nonzero": np.asarray(r[2, 1]),
+            "multi-slice": _multi_slice_block().astype(dtype)}
 
 
 LAYOUT_CASES = [pytest.param(dim, dtype, name, id=f"{dim}d-{dtype.__name__}-{name}")

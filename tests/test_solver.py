@@ -760,8 +760,10 @@ def wide_solution():
 
 
 def test_evaluate_holds_two_distance_sized_blocks_at_most():
-    # the distances and the phi_hat block; the J0 block has N_b columns, and
-    # ufunc iterator buffers stay below another 2 m N_b entries
+    # pairwise_distances' two blocks set the peak: phi_hat then writes its
+    # block over the distances. The J0 block has N_b columns, and ufunc
+    # iterator buffers and the cube's 64 KB slice stay below another 2 m N_b
+    # entries
     sol = wide_solution()
     pts = ELL_WIDE.interior_samples(256, seed=4)
     m, n, nb = len(pts), sol.knots.size, sol.knots.n_boundary

@@ -9,7 +9,7 @@ in the distance gives space-time kernels.
 """
 import numpy as np
 
-from bkm import (constrained_interpolate, evaluate_constrained, make_gsr,
+from bkm import (GsrKernel, constrained_interpolate, evaluate_constrained,
                  timespace_distance)
 
 
@@ -21,14 +21,14 @@ def safe_log(r):
 
 
 # the bare form with g = log, m = 1 is the thin plate spline
-tps = make_gsr("simple", g=safe_log, m=1)
+tps = GsrKernel("simple", g=safe_log, m=1)
 print("thin plate spline as a special case: r^2 log r")
 for r in (0.5, 1.0, 2.0):
     print(f"    r={r}: kernel {tps(r):+.6f}   direct {r*r*np.log(r):+.6f}")
 print()
 
 # pre-wavelet variant: finite slope everywhere, same far field
-wavelet = make_gsr("simple", g=safe_log, m=1, prewavelet_c=0.5)
+wavelet = GsrKernel("simple", g=safe_log, m=1, prewavelet_c=0.5)
 print("pre-wavelet variant r^2 log sqrt(r^2 + c^2), c = 0.5")
 for r in (0.0, 0.5, 2.0):
     print(f"    r={r}: {wavelet(r):+.6f}")
@@ -36,9 +36,9 @@ print()
 
 # data-weighted kernels for interior / Dirichlet / Neumann source points
 forcing = lambda x: 1.0 + x[..., 0]
-interior_kernel = make_gsr("interior", g=safe_log, m=1, forcing=forcing)
-dirichlet_kernel = make_gsr("dirichlet", g=safe_log, m=1,
-                            dirichlet=lambda x: 2.0, g_dr=lambda r: 1.0 / r)
+interior_kernel = GsrKernel("interior", g=safe_log, m=1, forcing=forcing)
+dirichlet_kernel = GsrKernel("dirichlet", g=safe_log, m=1,
+                             dirichlet=lambda x: 2.0, g_dr=lambda r: 1.0 / r)
 src = np.array([0.5, 0.0])
 print("data-weighted kernels at source (0.5, 0), r = 1.5:")
 print(f"    interior  [f(x) + rho(g)] r^2 g : {interior_kernel(1.5, src):+.6f}")
@@ -64,6 +64,6 @@ q = ([3.0, 0.0], 4.0)
 d = timespace_distance([*p[0], p[1]], [*q[0], q[1]])
 print(f"time-space distance between x={p[0]}, t={p[1]} and x={q[0]}, "
       f"t={q[1]}: {d}")
-wave = make_gsr("wave", g=lambda r: np.exp(-r), m=1,
-                forcing=lambda node: 1.0 + 0.1 * node[..., -1])
+wave = GsrKernel("wave", g=lambda r: np.exp(-r), m=1,
+                 forcing=lambda node: 1.0 + 0.1 * node[..., -1])
 print(f"wave-kernel value at that separation: {wave(d, np.array([3.0, 0.0, 4.0])):.6f}")

@@ -16,9 +16,8 @@ from .errors import BkmError, DegenerateGeometryError, IllConditionedError
 from .frm import SparseSystem, solve_sparse, truncate_system
 from .geometry import Ellipse, KnotSet, ellipse_knots
 from .gsr import (ConstrainedFit, GsrKernel, constrained_interpolate,
-                  evaluate_constrained, make_gsr, timespace_distance)
-from .kernels import (GeneralSolution, KernelPair, bessel_j0, bessel_j1,
-                      helmholtz_general_solution, mq_pair)
+                  evaluate_constrained, timespace_distance)
+from .kernels import GeneralSolution, KernelPair, bessel_j0, bessel_j1, mq_pair
 from .solver import (BkmSolution, ProblemSpec, RhoBoundaryNonlinear, RhoLinear,
                      RhoZero, assemble_homogeneous_rows, evaluate,
                      evaluate_homogeneous, solve_linear,
@@ -36,8 +35,8 @@ __all__ = [
     "bessel_j1", "build_interpolation_matrix", "constrained_interpolate",
     "convergence_sweep", "ellipse_knots", "evaluate", "evaluate_constrained",
     "evaluate_homogeneous", "evaluate_particular",
-    "evaluate_particular_normal", "helmholtz_general_solution", "make_gsr",
-    "mq_pair", "named_case", "report_csv_lines", "report_table_lines",
-    "run_case", "solve_linear", "solve_nonlinear_boundary_only", "solve_sparse",
-    "table1_case", "table2_case", "timespace_distance", "truncate_system",
+    "evaluate_particular_normal", "mq_pair", "named_case", "report_csv_lines",
+    "report_table_lines", "run_case", "solve_linear",
+    "solve_nonlinear_boundary_only", "solve_sparse", "table1_case",
+    "table2_case", "timespace_distance", "truncate_system",
 ]

@@ -7,8 +7,9 @@ codes: 0 success, 1 solver failure, 2 bad arguments.
 
 Each input rule is one function, :func:`count`, :func:`shape` or
 :func:`count_list`, used both as the argparse ``type=`` of a flag and by
-:func:`parse_problem_file`: counts are at least 1 and ``c`` is finite and
-above 0. Problem-file ellipse semi-axes must be finite, ``eval`` points must
+:func:`parse_problem_file`. They apply the library's rules: counts are
+integers of at least 1 and ``c`` is finite and above 0, as ``KernelPair``
+takes it. Problem-file ellipse semi-axes must be finite, ``eval`` points must
 lie in the closed ellipse, and every problem-file error names ``path:lineno``.
 """
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import bench
 from .errors import BkmError
-from .geometry import Ellipse, ellipse_knots
-from .kernels import mq_pair
+from .geometry import Ellipse, _checked_count, ellipse_knots
+from .kernels import KernelPair
 from .solver import ProblemSpec, RhoZero, evaluate, solve_linear
 
 log = logging.getLogger("bkm")
@@ -53,18 +54,12 @@ def _configure_logging():
 
 def count(text: str) -> int:
     """A count: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"expected a count of at least 1, got {n}")
-    return n
+    return _checked_count(int(text), "count", 1)
 
 
 def shape(text: str) -> float:
-    """A multiquadric shape parameter: a finite float above 0."""
-    c = float(text)
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"expected a finite shape parameter above 0, got {c}")
-    return c
+    """A multiquadric shape parameter, as :class:`KernelPair` takes it."""
+    return KernelPair(float(text)).shape
 
 
 def count_list(text: str) -> list[int]:
@@ -230,7 +225,7 @@ def _run_solve(args) -> tuple[int, list[str]]:
     problem = ProblemSpec(forcing=parsed["forcing"], dirichlet=parsed["dirichlet"],
                           rho=RhoZero(), geometry=parsed["ellipse"])
     knots = ellipse_knots(parsed["ellipse"], parsed["knots"])
-    solution = solve_linear(problem, knots, mq_pair(parsed["c"]))
+    solution = solve_linear(problem, knots, KernelPair(parsed["c"]))
     _log_diagnostics(solution.diagnostics)
     lines = ["x,y,computed"]
     if parsed["eval"]:

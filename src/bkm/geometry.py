@@ -302,7 +302,8 @@ def _checked_count(value, name: str, lo: int, hi=np.inf) -> int:
     if not count.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value}")
     if not lo <= count <= hi:
-        raise ValueError(f"{name} out of range: expected {lo} to {hi}, got {value}")
+        bounds = f"at least {lo}" if hi == np.inf else f"{lo} to {hi}"
+        raise ValueError(f"{name} out of range: expected {bounds}, got {value}")
     return int(count)
 
 

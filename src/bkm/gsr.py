@@ -20,16 +20,20 @@ collocation solver is built on top.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._linalg import FactoredMatrix
-from .geometry import pairwise_distances
+from .geometry import _checked_count, pairwise_distances
 
-KINDS = ("interior", "dirichlet", "neumann", "simple", "wave",
-         "extended_helmholtz", "transient")
+#: The callables each kind needs besides g; its keys are ``KINDS``.
+_REQUIRED = {"interior": (), "dirichlet": ("dirichlet", "g_dr"),
+             "neumann": ("neumann",), "simple": (), "wave": ("forcing",),
+             "extended_helmholtz": ("forcing", "g_tt"), "transient": ("forcing",)}
+
+KINDS = tuple(_REQUIRED)
 
 #: Kinds eligible for the pre-wavelet radius substitution.
 _PREWAVELET_KINDS = ("interior", "dirichlet", "neumann", "simple")
@@ -39,60 +43,12 @@ _PREWAVELET_KINDS = ("interior", "dirichlet", "neumann", "simple")
 class GsrKernel:
     """An evaluable operator-adapted radial kernel.
 
-    Call with ``kernel(r, sources)``: a distance and one source node ``(d,)``,
-    or an (m, n) distance block and the n nodes ``(n, d)`` whose data weight
-    its columns (see the module docstring). Kinds without data ignore them.
-    """
-
-    kind: str
-    g: Callable
-    m: int = 1
-    forcing: Optional[Callable] = None           # f(x) or f(x, t) via the nodes
-    dirichlet: Optional[Callable] = None
-    neumann: Optional[Callable] = None
-    rho_of_g: Optional[Callable] = None          # remaining operator applied to g
-    g_dr: Optional[Callable] = None              # dg/dr, needed by kind="dirichlet"
-    g_tt: Optional[Callable] = None              # second time derivative of g
-    prewavelet_c: float = 0.0
-    wave_speed: Optional[float] = None
-    keep_rho: bool = True
-    keep_smoothing: bool = True
-
-    def _power(self, r):
-        return r ** (2 * self.m) if self.keep_smoothing else 1.0
-
-    def __call__(self, r, sources=None):
-        r = np.asarray(r, dtype=float)
-        s = np.sqrt(r**2 + self.prewavelet_c**2) if self.prewavelet_c > 0.0 else r
-        if self.kind == "simple":
-            return self._power(r) * self.g(s)
-        if self.kind == "interior":
-            data = self.forcing(sources) if self.forcing is not None else 0.0
-            if self.keep_rho and self.rho_of_g is not None:
-                data = data + self.rho_of_g(s)
-            return data * self._power(r) * self.g(s)
-        if self.kind == "dirichlet":
-            return self.dirichlet(sources) * self._power(r) * self.g_dr(s)
-        if self.kind == "neumann":
-            return self.neumann(sources) * self._power(r) * self.g(s)
-        if self.kind == "wave":
-            return self._power(r) * self.g(r) * self.forcing(sources)
-        if self.kind == "extended_helmholtz":
-            h = self.g(r)
-            bracket = self.forcing(sources) + h + \
-                (1.0 + 1.0 / self.wave_speed**2) * self.g_tt(r)
-            return h * bracket
-        if self.kind == "transient":
-            t = np.asarray(sources, dtype=float)[..., -1]
-            return t ** (2 * self.m) * self.g(r, t) * self.forcing(sources)
-        raise AssertionError(f"unreachable kind {self.kind!r}")
-
-
-def make_gsr(kind: str, g: Callable, *, m: int = 1, forcing=None, dirichlet=None,
-             neumann=None, rho_of_g=None, g_dr=None, g_tt=None,
-             prewavelet_c: float = 0.0, wave_speed=None,
-             keep_rho: bool = True, keep_smoothing: bool = True) -> GsrKernel:
-    """Construct an operator-adapted kernel of the given kind.
+    Construct as ``GsrKernel(kind, g, m=..., ...)``: every field after ``g``
+    is keyword-only, and construction refuses any input the parameters below
+    rule out. Call with ``kernel(r, sources)``: a distance and one source
+    node ``(d,)``, or an (m, n) distance block and the n nodes ``(n, d)``
+    whose data weight its columns (see the module docstring). Kinds without
+    data ignore them.
 
     Parameters
     ----------
@@ -104,41 +60,79 @@ def make_gsr(kind: str, g: Callable, *, m: int = 1, forcing=None, dirichlet=None
         and ``transient`` are the time-dependent forms.
     g : callable
         The operator's general solution; for ``transient`` it takes (r, t).
-    m : non-negative int
-        Smoothness exponent of the r^{2m} factor.
+    m : non-negative whole number
+        Smoothness exponent of the r^{2m} factor (t^{2m} for ``transient``);
+        m = 0 drops it, as distinct source and response sets allow.
     prewavelet_c : float >= 0
         If positive, evaluates g at sqrt(r^2 + c^2) instead of r. Available
         for the four space kinds; c = 0 recovers the plain kernel.
-    keep_rho, keep_smoothing : bool
-        Drop the rho(g(r)) term / the r^{2m} factor (distinct source and
-        response sets make the latter unnecessary).
+
+    A kind needs the data it reads: ``dirichlet`` needs dirichlet and g_dr,
+    ``neumann`` neumann, the time-dependent kinds a forcing, and
+    ``extended_helmholtz`` also g_tt and a finite, nonzero wave_speed.
+    ``interior`` adds a forcing and rho_of_g when they are given. Any
+    callable field may otherwise be None, but nothing else.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not (float(m).is_integer() and m >= 0):
-        raise ValueError(f"smoothness exponent m must be a non-negative integer, got {m}")
-    m = int(m)
-    c = float(prewavelet_c)
-    if not (np.isfinite(c) and c >= 0.0):
-        raise ValueError(f"prewavelet_c must be finite and non-negative, got {c}")
-    if c > 0.0 and kind not in _PREWAVELET_KINDS:
-        raise ValueError(f"the pre-wavelet substitution applies to kinds "
-                         f"{_PREWAVELET_KINDS}, not {kind!r}")
-    if kind == "dirichlet" and (dirichlet is None or g_dr is None):
-        raise ValueError("kind='dirichlet' needs dirichlet data and g_dr")
-    if kind == "neumann" and neumann is None:
-        raise ValueError("kind='neumann' needs neumann data")
-    if kind in ("wave", "extended_helmholtz", "transient") and forcing is None:
-        raise ValueError(f"kind={kind!r} needs a forcing function")
-    if kind == "extended_helmholtz":
-        if g_tt is None or wave_speed is None:
-            raise ValueError("kind='extended_helmholtz' needs g_tt and wave_speed")
-        if not (np.isfinite(wave_speed) and wave_speed != 0):
-            raise ValueError(f"wave_speed must be finite and nonzero, got {wave_speed}")
-    return GsrKernel(kind=kind, g=g, m=m, forcing=forcing, dirichlet=dirichlet,
-                     neumann=neumann, rho_of_g=rho_of_g, g_dr=g_dr, g_tt=g_tt,
-                     prewavelet_c=c, wave_speed=wave_speed,
-                     keep_rho=keep_rho, keep_smoothing=keep_smoothing)
+
+    kind: str
+    g: Callable
+    _: KW_ONLY
+    m: int = 1
+    forcing: Optional[Callable] = None           # f(x) or f(x, t) via the nodes
+    dirichlet: Optional[Callable] = None
+    neumann: Optional[Callable] = None
+    rho_of_g: Optional[Callable] = None          # remaining operator applied to g
+    g_dr: Optional[Callable] = None              # dg/dr
+    g_tt: Optional[Callable] = None              # second time derivative of g
+    prewavelet_c: float = 0.0
+    wave_speed: Optional[float] = None           # finite and nonzero
+
+    def __post_init__(self):
+        kind = self.kind
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        needed = ("g",) + _REQUIRED[kind]
+        for name in ("g", "forcing", "dirichlet", "neumann", "rho_of_g", "g_dr", "g_tt"):
+            fn = getattr(self, name)
+            if not callable(fn) and (fn is not None or name in needed):
+                raise ValueError(f"kind={kind!r}: {name} must be callable, got {fn!r}")
+        m = _checked_count(self.m, "smoothness exponent m", 0)
+        c = float(self.prewavelet_c)
+        if not (np.isfinite(c) and c >= 0.0):
+            raise ValueError(f"prewavelet_c must be finite and non-negative, got {c}")
+        if c > 0.0 and kind not in _PREWAVELET_KINDS:
+            raise ValueError(f"the pre-wavelet substitution applies to kinds "
+                             f"{_PREWAVELET_KINDS}, not {kind!r}")
+        speed = self.wave_speed
+        if kind == "extended_helmholtz" and not 0 < abs(float(speed or 0)) < np.inf:
+            raise ValueError(f"wave_speed must be finite and nonzero, got {speed}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "prewavelet_c", c)
+
+    def __call__(self, r, sources=None):
+        r = np.asarray(r, dtype=float)
+        if self.kind == "extended_helmholtz":
+            h = self.g(r)
+            bracket = self.forcing(sources) + h + \
+                (1.0 + 1.0 / self.wave_speed**2) * self.g_tt(r)
+            return h * bracket
+        if self.kind == "transient":
+            t = np.asarray(sources, dtype=float)[..., -1]
+            return t ** (2 * self.m) * self.g(r, t) * self.forcing(sources)
+        power = r ** (2 * self.m)
+        if self.kind == "wave":
+            return power * self.g(r) * self.forcing(sources)
+        s = np.sqrt(r**2 + self.prewavelet_c**2) if self.prewavelet_c > 0.0 else r
+        if self.kind == "simple":
+            return power * self.g(s)
+        if self.kind == "interior":
+            data = self.forcing(sources) if self.forcing is not None else 0.0
+            if self.rho_of_g is not None:
+                data = data + self.rho_of_g(s)
+            return data * power * self.g(s)
+        if self.kind == "dirichlet":
+            return self.dirichlet(sources) * power * self.g_dr(s)
+        return self.neumann(sources) * power * self.g(s)
 
 
 def timespace_distance(p, q) -> float:

@@ -94,14 +94,22 @@ def bessel_j1(r):
 
 @dataclass(frozen=True)
 class GeneralSolution:
-    """Radial solution of (laplacian + 1) v = 0, finite at the origin.
+    """Radial solution of (laplacian + 1) v = 0, finite at the origin, in
+    ``dimension`` 2 or 3.
 
-    ``value(r)`` evaluates the solution, ``normal_derivative(r, projection)``
-    its directional derivative given dr/dn (see
-    :func:`bkm.geometry._normal_projections`), which broadcasts to r's shape.
+    2-d: J0(r), with radial derivative -J1(r). 3-d: sin(r)/r, value 1 and
+    derivative 0 at the origin. ``value(r)`` evaluates the solution,
+    ``normal_derivative(r, projection)`` its directional derivative given
+    dr/dn (see :func:`bkm.geometry._normal_projections`), which broadcasts
+    to r's shape.
     """
 
     dimension: int
+
+    def __post_init__(self):
+        if self.dimension not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+        object.__setattr__(self, "dimension", int(self.dimension))
 
     def value(self, r):
         if self.dimension == 2:
@@ -118,17 +126,6 @@ class GeneralSolution:
                 lambda a: special.spherical_jn(0, a, derivative=True), r))
         out *= np.asarray(projection, dtype=float)
         return _scalar_or_array(out)
-
-
-def helmholtz_general_solution(dim: int) -> GeneralSolution:
-    """Non-singular general solution of the Helmholtz operator in 2-d or 3-d.
-
-    2-d: J0(r), with radial derivative -J1(r). 3-d: sin(r)/r, value 1 and
-    derivative 0 at the origin.
-    """
-    if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
-    return GeneralSolution(dimension=int(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,8 @@ class KernelPair:
     def __post_init__(self):
         c = float(self.shape)
         if not (np.isfinite(c) and c > 0.0):
-            raise ValueError(f"shape parameter must be positive, got {self.shape}")
+            raise ValueError(f"expected a finite shape parameter above 0, "
+                             f"got {self.shape}")
         object.__setattr__(self, "shape", c)
 
     @staticmethod

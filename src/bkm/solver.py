@@ -35,7 +35,7 @@ from ._linalg import FactoredMatrix, SolveRecord
 from .drm import DrmFit, _points_array, build_interpolation_matrix
 from .frm import solve_sparse, truncate_system
 from .geometry import Ellipse, KnotSet, _normal_projections, pairwise_distances
-from .kernels import GeneralSolution, KernelPair, helmholtz_general_solution
+from .kernels import GeneralSolution, KernelPair
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,9 @@ class ProblemSpec:
     and return an array of m values. Each one, ``RhoBoundaryNonlinear.apply``
     included, must return exactly m values, shape (m,): a solve refuses any
     other shape, a scalar or an (m, 1) column among them, naming the callable.
-    The Dirichlet and Neumann data are read once per solve.
+    The Dirichlet and Neumann data are read once per solve. Construction
+    refuses a ``rho`` that is not a descriptor instance and data that is not
+    callable; all but ``forcing`` may be None.
     """
 
     forcing: Callable[[np.ndarray], np.ndarray]
@@ -91,6 +93,15 @@ class ProblemSpec:
     rho: RhoDescriptor = field(default_factory=RhoZero)
     geometry: Optional[Ellipse] = None
     exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.rho, RhoDescriptor):
+            raise ValueError("rho must be a RhoZero, RhoLinear or "
+                             f"RhoBoundaryNonlinear instance, got {self.rho!r}")
+        for name in ("forcing", "dirichlet", "neumann", "exact"):
+            fn = getattr(self, name)
+            if not (callable(fn) or fn is None and name != "forcing"):
+                raise ValueError(f"{name} must be callable, got {fn!r}")
 
 
 @dataclass
@@ -260,7 +271,7 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     and u_int is left for :class:`BkmSolution` to evaluate on use.
     """
     nb = knots.n_boundary
-    gs = helmholtz_general_solution(knots.dimension)
+    gs = GeneralSolution(knots.dimension)
     data = _boundary_data(problem, knots)
     rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel, data)
     alpha, fit_lu = _solve_stage(

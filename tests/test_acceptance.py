@@ -12,7 +12,7 @@ from bkm.bench import run_case, table1_case, table2_case
 from bkm.drm import build_interpolation_matrix
 from bkm.frm import solve_sparse, truncate_system
 from bkm.geometry import Ellipse, ellipse_knots
-from bkm.gsr import (constrained_interpolate, evaluate_constrained, make_gsr,
+from bkm.gsr import (GsrKernel, constrained_interpolate, evaluate_constrained,
                      timespace_distance)
 from bkm.kernels import bessel_j0, bessel_j1, mq_pair
 from bkm.solver import (ProblemSpec, RhoZero, evaluate, evaluate_homogeneous,
@@ -172,7 +172,7 @@ def test_criterion_08_frm_consistency():
 
 def test_criterion_09_gsr_suite():
     # side condition on a batch of fits
-    tps = make_gsr("simple", g=safe_log, m=1)
+    tps = GsrKernel("simple", g=safe_log, m=1)
     rng = np.random.default_rng(9)
     side_worst = 0.0
     interp_worst = 0.0
@@ -187,8 +187,8 @@ def test_criterion_09_gsr_suite():
                            / float(np.max(np.abs(values))))
 
     # pre-wavelet kernels reduce exactly to the plain form at c = 0
-    plain = make_gsr("simple", g=safe_log, m=1)
-    reduced = make_gsr("simple", g=safe_log, m=1, prewavelet_c=0.0)
+    plain = GsrKernel("simple", g=safe_log, m=1)
+    reduced = GsrKernel("simple", g=safe_log, m=1, prewavelet_c=0.0)
     radii = np.linspace(0.05, 10.0, 100)
     reduction_exact = all(reduced(r) == plain(r) for r in radii)
 

@@ -76,6 +76,23 @@ def test_solver_failure_exits_one(capsys):
     assert "condition" in err
 
 
+def test_sweep_keeps_the_blocks_that_solve(capsys):
+    # table2's fit at 16 knots and c = 18 is rank-deficient
+    code, out, err = run_cli(capsys, "sweep", "table2", "--knots", "9,16")
+    assert code == 0
+    headers = [l for l in out.splitlines() if l.startswith("# knots=")]
+    assert len(headers) == 1 and headers[0].startswith("# knots=9 ")
+    assert out.count("x,y,exact,computed,abs_err,rel_err") == 1
+    assert err.startswith("solver error at 16 knots: ")
+
+
+def test_sweep_with_every_block_failing_exits_one(capsys):
+    code, out, err = run_cli(capsys, "sweep", "table2", "--knots", "16")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solver error at 16 knots: ")
+
+
 def test_bench_frm_flag(capsys):
     code, out, _ = run_cli(capsys, "bench", "table1", "--frm", "7")
     assert code == 0

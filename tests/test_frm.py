@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import bkm.geometry
 import bkm.solver
@@ -8,11 +9,24 @@ from bkm.drm import build_interpolation_matrix
 from bkm.errors import BkmError, IllConditionedError
 from bkm.frm import SparseSystem, solve_sparse, truncate_system
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
-from bkm.kernels import helmholtz_general_solution, mq_pair
+from bkm.kernels import GeneralSolution, mq_pair
 from bkm.solver import ProblemSpec, assemble_homogeneous_rows, solve_linear
 from oracles import fibonacci_sphere
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
+
+
+def test_solve_sparse_refuses_a_non_square_system():
+    system = SparseSystem(matrix=sp.csr_matrix(np.ones((2, 3))), rhs=np.ones(2), k=1)
+    with pytest.raises(ValueError, match="system must be square"):
+        solve_sparse(system)
+
+
+def test_solve_sparse_refuses_a_non_finite_solution():
+    system = SparseSystem(matrix=sp.csr_matrix(np.eye(3)),
+                          rhs=np.array([1.0, np.inf, 0.0]), k=1)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        solve_sparse(system)
 
 
 def mq_system(n, c=1.0, seed=1):
@@ -130,7 +144,7 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
             pass            # a singular truncation (k = 1 on Neumann rows)
         assert selections == [k]          # one neighbour search per solve
         dense = (build_interpolation_matrix(ks, kernel),
-                 assemble_homogeneous_rows(ks, helmholtz_general_solution(ks.dimension)))
+                 assemble_homogeneous_rows(ks, GeneralSolution(ks.dimension)))
         assert len(systems) == 2
         for system, matrix in zip(systems, dense):
             expected = truncate_system(matrix, system.rhs, ks, k)

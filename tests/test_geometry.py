@@ -60,7 +60,9 @@ def test_circle_knot_at_third_turn():
 
 
 def test_ellipse_knots_rejects_zero():
-    with pytest.raises(ValueError):
+    # an unbounded count names its lower bound only
+    with pytest.raises(ValueError, match="knot count out of range: expected at "
+                                         "least 1, got 0"):
         ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 0)
 
 
@@ -141,6 +143,31 @@ def test_normal_projection_bounded(ax, ay, sx, sy, angle):
     n = np.array([np.cos(angle), np.sin(angle)])
     proj = _normal_projections(x, n, s, np.linalg.norm(x - s, axis=1))
     assert abs(proj[0]) <= 1.0 + 1e-12
+
+
+UNIT_X = np.array([[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(boundary_positions=np.empty((0, 2)), boundary_normals=np.empty((0, 2))),
+     "at least one boundary knot"),
+    (dict(boundary_positions=np.zeros((1, 4)), boundary_normals=np.eye(1, 4)),
+     "knot dimension must be 2 or 3, got 4"),
+    (dict(boundary_positions=np.zeros((2, 2)), boundary_normals=UNIT_X),
+     "boundary_normals must match boundary_positions in shape"),
+    (dict(boundary_positions=[[np.nan, 0.0]], boundary_normals=UNIT_X),
+     "knot coordinates and normals must be finite"),
+    (dict(boundary_positions=[[1.0, 0.0]], boundary_normals=UNIT_X,
+          interior=[[0.0, 0.0, 0.0]]),
+     "interior knots must match the boundary dimension"),
+    (dict(boundary_positions=[[1.0, 0.0]], boundary_normals=UNIT_X,
+          interior=[[0.0, np.nan]]),
+     "interior coordinates must be finite"),
+], ids=["empty", "dimension-4", "normals-shape", "nan-position", "interior-dimension",
+        "nan-interior"])
+def test_knotset_refuses_malformed_knots(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        KnotSet(**kwargs)
 
 
 def test_knotset_rejects_non_unit_normal():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkm.errors import IllConditionedError
-from bkm.gsr import (KINDS, ConstrainedFit, constrained_interpolate,
-                     evaluate_constrained, make_gsr, timespace_distance)
+from bkm.gsr import (KINDS, ConstrainedFit, GsrKernel, constrained_interpolate,
+                     evaluate_constrained, timespace_distance)
 from oracles import gsr_bordered_beta, gsr_kernel_row, safe_log
 
 coord = st.floats(min_value=-20.0, max_value=20.0,
@@ -16,13 +16,13 @@ coord = st.floats(min_value=-20.0, max_value=20.0,
 # ---------------------------------------------------------------------------
 
 def test_simple_kind_is_thin_plate_spline():
-    tps = make_gsr("simple", g=np.log, m=1)
+    tps = GsrKernel("simple", g=np.log, m=1)
     for r in np.linspace(0.01, 10.0, 200):
         assert tps(r) == pytest.approx(r * r * np.log(r), abs=1e-12 * max(1, r * r))
 
 
 def test_prewavelet_simple_form_and_origin_value():
-    k = make_gsr("simple", g=np.log, m=1, prewavelet_c=0.5)
+    k = GsrKernel("simple", g=np.log, m=1, prewavelet_c=0.5)
     for r in (0.3, 1.0, 4.2):
         expected = r * r * np.log(np.sqrt(r * r + 0.25))
         assert k(r) == pytest.approx(expected, rel=1e-14)
@@ -38,8 +38,8 @@ def test_prewavelet_reduces_to_plain_at_zero_dilation(kind):
         kwargs.update(dirichlet=lambda x: 2.0 - x[..., 1], g_dr=lambda r: 1.0 / r)
     if kind == "neumann":
         kwargs.update(neumann=lambda x: x[..., 0] * x[..., 1])
-    plain = make_gsr(kind, **kwargs)
-    wavelet = make_gsr(kind, prewavelet_c=0.0, **kwargs)
+    plain = GsrKernel(kind, **kwargs)
+    wavelet = GsrKernel(kind, prewavelet_c=0.0, **kwargs)
     src = np.array([0.4, -0.2])
     for r in np.linspace(0.05, 8.0, 50):
         assert wavelet(r, src) == plain(r, src)
@@ -48,24 +48,23 @@ def test_prewavelet_reduces_to_plain_at_zero_dilation(kind):
 def test_interior_kind_formula():
     f = lambda x: 2.0 + x[..., 0]
     rho = lambda r: 0.5 * r
-    k = make_gsr("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho)
+    k = GsrKernel("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho)
     src = np.array([1.0, 0.0])
     r = 2.0
     assert k(r, src) == pytest.approx((3.0 + 1.0) * r**2 * np.log(r))
 
 
 def test_interior_kind_zero_data_is_zero():
-    k = make_gsr("interior", g=safe_log, m=1, forcing=lambda x: 0.0,
-                 rho_of_g=None)
+    k = GsrKernel("interior", g=safe_log, m=1, forcing=lambda x: 0.0,
+                  rho_of_g=None)
     assert k(1.7, np.array([0.3, 0.3])) == 0.0
 
 
 def test_interior_rho_term_can_be_dropped():
     f = lambda x: 1.0
     rho = lambda r: 10.0 * r
-    keep = make_gsr("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho)
-    drop = make_gsr("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho,
-                    keep_rho=False)
+    keep = GsrKernel("interior", g=safe_log, m=1, forcing=f, rho_of_g=rho)
+    drop = GsrKernel("interior", g=safe_log, m=1, forcing=f, rho_of_g=None)
     src = np.zeros(2)
     assert keep(2.0, src) == pytest.approx((1.0 + 20.0) * 4.0 * np.log(2.0))
     assert drop(2.0, src) == pytest.approx(4.0 * np.log(2.0))
@@ -73,23 +72,23 @@ def test_interior_rho_term_can_be_dropped():
 
 def test_dirichlet_kind_uses_radial_derivative():
     d = lambda x: 3.0
-    k = make_gsr("dirichlet", g=safe_log, m=1, dirichlet=d, g_dr=lambda r: 1.0 / r)
+    k = GsrKernel("dirichlet", g=safe_log, m=1, dirichlet=d, g_dr=lambda r: 1.0 / r)
     assert k(2.0, np.zeros(2)) == pytest.approx(3.0 * 4.0 * 0.5)
 
 
 def test_neumann_kind_weights_value():
-    k = make_gsr("neumann", g=safe_log, m=2, neumann=lambda x: -2.0)
+    k = GsrKernel("neumann", g=safe_log, m=2, neumann=lambda x: -2.0)
     assert k(2.0, np.zeros(2)) == pytest.approx(-2.0 * 16.0 * np.log(2.0))
 
 
 def test_smoothing_power_can_be_dropped():
-    k = make_gsr("simple", g=safe_log, m=3, keep_smoothing=False)
+    k = GsrKernel("simple", g=safe_log, m=0)
     assert k(2.0) == pytest.approx(np.log(2.0))
 
 
 def test_wave_kind_formula():
     f = lambda node: node[..., 0] + node[..., -1]  # f(x, t) on the space-time node
-    k = make_gsr("wave", g=np.cos, m=1, forcing=f)
+    k = GsrKernel("wave", g=np.cos, m=1, forcing=f)
     node = np.array([0.5, 2.0])
     assert k(1.2, node) == pytest.approx(1.2**2 * np.cos(1.2) * 2.5)
 
@@ -98,7 +97,7 @@ def test_extended_helmholtz_literal_form():
     h = np.cos
     h_tt = lambda r: -np.cos(r)
     f = lambda node: 0.25
-    k = make_gsr("extended_helmholtz", g=h, g_tt=h_tt, forcing=f, wave_speed=2.0)
+    k = GsrKernel("extended_helmholtz", g=h, g_tt=h_tt, forcing=f, wave_speed=2.0)
     r = 0.8
     bracket = 0.25 + np.cos(r) + (1.0 + 0.25) * (-np.cos(r))
     assert k(r, np.zeros(3)) == pytest.approx(np.cos(r) * bracket)
@@ -107,31 +106,70 @@ def test_extended_helmholtz_literal_form():
 def test_transient_kind_formula():
     g = lambda r, t: np.exp(-r * r / (1.0 + t))
     f = lambda node: 2.0
-    k = make_gsr("transient", g=g, m=1, forcing=f)
+    k = GsrKernel("transient", g=g, m=1, forcing=f)
     node = np.array([0.0, 0.5])            # (x, t)
     assert k(1.0, node) == pytest.approx(0.25 * np.exp(-1.0 / 1.5) * 2.0)
 
 
-def test_make_gsr_validation():
-    with pytest.raises(ValueError):
-        make_gsr("simple", g=np.log, m=-1)
-    with pytest.raises(ValueError):
-        make_gsr("nonsense", g=np.log)
-    with pytest.raises(ValueError):
-        make_gsr("wave", g=np.cos, forcing=lambda n: 1.0, prewavelet_c=1.0)
-    with pytest.raises(ValueError):
-        make_gsr("dirichlet", g=np.log)    # missing data and derivative
-    with pytest.raises(ValueError):
-        make_gsr("extended_helmholtz", g=np.cos, forcing=lambda n: 1.0,
-                 g_tt=lambda r: r, wave_speed=0.0)
-    with pytest.raises(ValueError):
-        make_gsr("simple", g=np.log, prewavelet_c=np.nan)
-    with pytest.raises(ValueError):
-        make_gsr("extended_helmholtz", g=np.cos, forcing=lambda n: 1.0,
-                 g_tt=lambda r: r, wave_speed=np.nan)
-    with pytest.raises(ValueError):
-        make_gsr("simple", g=np.log, m=1.7)
+def test_gsr_kernel_validation():
+    # the pre-wavelet substitution is for the four space kinds only
+    with pytest.raises(ValueError, match="pre-wavelet"):
+        GsrKernel("wave", g=np.cos, forcing=lambda n: 1.0, prewavelet_c=1.0)
+    kwargs = REFERENCE_KERNELS["extended_helmholtz"][1]
+    for speed in (None, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="wave_speed"):
+            GsrKernel("extended_helmholtz", **{**kwargs, "wave_speed": speed})
     assert set(KINDS) >= {"simple", "wave", "transient"}
+
+
+@pytest.mark.parametrize("kind, kwargs, match", [
+    ("dirichlet", dict(g=np.log), "dirichlet must be callable, got None"),
+    ("bogus", dict(g=np.log), "kind must be one of"),
+    ("simple", dict(g=np.cos, prewavelet_c=np.nan), "prewavelet_c"),
+    ("simple", dict(g=np.cos, m=-1), "smoothness exponent m out of range"),
+    ("simple", dict(g=np.cos, m=1.5), "smoothness exponent m must be a whole"),
+], ids=["missing-data", "unknown-kind", "nan-dilation", "negative-m", "fractional-m"])
+def test_gsr_kernel_refuses_bad_input_at_construction(kind, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        GsrKernel(kind, **kwargs)
+
+
+#: The callables each kind reads when it is called.
+NEEDED_CALLABLES = {
+    "interior": ("g",), "simple": ("g",), "dirichlet": ("g", "dirichlet", "g_dr"),
+    "neumann": ("g", "neumann"), "wave": ("g", "forcing"),
+    "extended_helmholtz": ("g", "forcing", "g_tt"), "transient": ("g", "forcing"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gsr_kernel_refuses_a_missing_callable(kind):
+    kwargs = REFERENCE_KERNELS[kind][1]
+    GsrKernel(kind, **kwargs)
+    for name in NEEDED_CALLABLES[kind]:
+        for missing in (None, 2.0):
+            with pytest.raises(ValueError, match=f"{name} must be callable"):
+                GsrKernel(kind, **{**kwargs, name: missing})
+
+
+def test_gsr_kernel_refuses_data_that_is_not_callable():
+    # optional or unused data may be None, but nothing else
+    for kind, name in (("interior", "forcing"), ("interior", "rho_of_g"),
+                       ("simple", "neumann")):
+        with pytest.raises(ValueError, match=f"{name} must be callable, got 2.0"):
+            GsrKernel(kind, g=np.log, **{name: 2.0})
+
+
+def test_gsr_kernel_fields_after_g_are_keyword_only():
+    with pytest.raises(TypeError):
+        GsrKernel("simple", np.log, 2)
+    assert GsrKernel("simple", np.log, m=2).m == 2
+
+
+def test_gsr_kernel_normalises_m_and_the_dilation():
+    k = GsrKernel("simple", g=np.log, m=np.float64(2.0), prewavelet_c=1)
+    assert type(k.m) is int and k.m == 2
+    assert type(k.prewavelet_c) is float and k.prewavelet_c == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +198,7 @@ def test_timespace_distance_metric_axioms(ax, at, bx, bt, cx, ct):
 # ---------------------------------------------------------------------------
 
 def tps_kernel():
-    return make_gsr("simple", g=safe_log, m=1)
+    return GsrKernel("simple", g=safe_log, m=1)
 
 
 def test_constraint_absorbs_psi_samples():
@@ -222,8 +260,8 @@ def test_constrained_interpolate_singular_system():
 def test_timespace_nodes_with_wave_kernel():
     # nodes carry (x, t); the kernel sees time-space radii
     nodes = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 1.5], [-0.7, 2.0]])
-    kernel = make_gsr("wave", g=lambda r: np.exp(-r), m=1,
-                      forcing=lambda node: 1.0 + 0.1 * node[..., -1])
+    kernel = GsrKernel("wave", g=lambda r: np.exp(-r), m=1,
+                       forcing=lambda node: 1.0 + 0.1 * node[..., -1])
     values = np.array([0.5, -1.0, 2.0, 0.25])
     fit = constrained_interpolate(nodes, kernel, lambda x: 1.0, values)
     reproduced = np.array([evaluate_constrained(fit, x) for x in nodes])
@@ -281,7 +319,7 @@ REFERENCE_KERNELS = {
 @pytest.mark.parametrize("case", sorted(REFERENCE_KERNELS))
 def test_fit_and_evaluation_match_the_per_entry_reference(case, dim):
     kind, kwargs = REFERENCE_KERNELS[case]
-    kernel = make_gsr(kind, **kwargs)
+    kernel = GsrKernel(kind, **kwargs)
     psi = lambda x: 1.0 + x[..., 0]
     rng = np.random.default_rng(12)
     nodes = rng.uniform(0.2, 1.5, size=(8, dim))   # t = x[..., -1] > 0

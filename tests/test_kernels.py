@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bkm import kernels
-from bkm.kernels import (bessel_j0, bessel_j1, helmholtz_general_solution,
-                         mq_pair)
+from bkm.kernels import GeneralSolution, bessel_j0, bessel_j1, mq_pair
 import oracles
 from oracles import (allocation_peak, assert_bit_identical, bisect_zero,
                      fd_radial_laplacian, series_j0, series_j1)
@@ -94,30 +93,37 @@ def test_j0_derivative_is_minus_j1():
 # ---------------------------------------------------------------------------
 
 def test_general_solution_2d_value():
-    gs = helmholtz_general_solution(2)
+    gs = GeneralSolution(2)
     assert gs.value(0.0) == 1.0
     assert gs.value(1.0) == pytest.approx(0.76519768655797, abs=1e-12)
 
 
 def test_general_solution_3d_values():
-    gs = helmholtz_general_solution(3)
+    gs = GeneralSolution(3)
     assert gs.value(0.0) == 1.0
     assert gs.value(np.pi) == pytest.approx(0.0, abs=1e-15)
     assert gs.value(1.0) == pytest.approx(0.8414709848, abs=1e-10)
 
 
 def test_general_solution_3d_derivative_zero_at_origin():
-    gs = helmholtz_general_solution(3)
+    gs = GeneralSolution(3)
     assert gs.normal_derivative(0.0, 1.0) == 0.0
 
 
 def test_general_solution_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        helmholtz_general_solution(4)
+    for dim in (1, 4, 2.5, 5):
+        with pytest.raises(ValueError, match=f"dimension must be 2 or 3, got {dim}"):
+            GeneralSolution(dim)
+
+
+def test_general_solution_stores_an_int_dimension():
+    for dim in (3.0, np.int64(3)):
+        assert type(GeneralSolution(dim).dimension) is int
+    assert GeneralSolution(3.0) == GeneralSolution(3)
 
 
 def test_general_solution_2d_normal_derivative():
-    gs = helmholtz_general_solution(2)
+    gs = GeneralSolution(2)
     for r in (0.5, 2.0, 7.0):
         for p in (-1.0, 0.25, 1.0):
             assert gs.normal_derivative(r, p) == pytest.approx(-bessel_j1(r) * p,
@@ -126,7 +132,7 @@ def test_general_solution_2d_normal_derivative():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_general_solution_satisfies_radial_helmholtz(dim):
-    gs = helmholtz_general_solution(dim)
+    gs = GeneralSolution(dim)
     rng = np.random.default_rng(2)
     for r in rng.uniform(0.2, 10.0, 25):
         resid = fd_radial_laplacian(gs.value, r, h=1e-4, dim=dim) + gs.value(r)
@@ -134,7 +140,7 @@ def test_general_solution_satisfies_radial_helmholtz(dim):
 
 
 def test_sinc_taylor_branch_matches_direct_formula():
-    gs = helmholtz_general_solution(3)
+    gs = GeneralSolution(3)
     for r in (0.2e-4, 0.9e-4, 1.1e-4, 2e-4):
         assert gs.value(r) == pytest.approx(np.sin(r) / r, abs=1e-14)
 
@@ -142,7 +148,7 @@ def test_sinc_taylor_branch_matches_direct_formula():
 def test_3d_general_solution_matches_mpmath_near_the_origin():
     # (r cos r - sin r) / r^2 cancels as r -> 0; the derivative must not lose
     # the digits that cancel
-    gs = helmholtz_general_solution(3)
+    gs = GeneralSolution(3)
     r = np.geomspace(1e-6, 2.0, 201)
     with mp.workdps(40):
         value = np.array([float(mp.sin(x) / x) for x in r])
@@ -329,7 +335,7 @@ def test_mq_blocks_bit_identical_to_plain_expressions(dim, dtype, layout):
 @pytest.mark.parametrize("dim,dtype,layout", LAYOUT_CASES)
 def test_general_solution_normal_derivative_bit_identical(dim, dtype, layout):
     r = radius_layouts(dim, dtype)[layout]
-    gs = helmholtz_general_solution(dim)
+    gs = GeneralSolution(dim)
     for proj in (projections_like(r), -0.25):
         assert_bit_identical(gs.normal_derivative(r, proj),
                              oracles.general_solution_normal_derivative(dim, r, proj))
@@ -344,7 +350,7 @@ def test_kernel_scalars_keep_their_result_type(r):
                              oracles.mq_phi(1.5, r, dimension=dim))
         assert_bit_identical(pair.phi_hat_normal(r, 0.3),
                              oracles.mq_phi_hat_normal(1.5, r, 0.3))
-        assert_bit_identical(helmholtz_general_solution(dim).normal_derivative(r, 0.3),
+        assert_bit_identical(GeneralSolution(dim).normal_derivative(r, 0.3),
                              oracles.general_solution_normal_derivative(dim, r, 0.3))
 
 

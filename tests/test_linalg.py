@@ -1,6 +1,7 @@
 """FactoredMatrix against the scipy wrappers it replaces, and the input checks
 that guard every dense solve and field evaluation."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,13 @@ def test_non_finite_rhs_raises(bad):
     b[2] = bad
     with pytest.raises(ValueError, match="right-hand side must not contain infs"):
         FactoredMatrix(a).solve(b)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["non-square", "empty"])
+def test_non_square_or_empty_matrix_raises(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"matrix must be square and non-empty, got shape {shape}")):
+        FactoredMatrix(np.ones(shape))
 
 
 def test_rhs_of_wrong_shape_raises():

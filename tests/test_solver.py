@@ -11,7 +11,7 @@ from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
-from bkm.kernels import bessel_j0, bessel_j1, helmholtz_general_solution, mq_pair
+from bkm.kernels import GeneralSolution, bessel_j0, bessel_j1, mq_pair
 from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
@@ -63,19 +63,19 @@ def nonlinear_problem():
 
 def test_dirichlet_rows_have_unit_diagonal():
     ks = ellipse_knots(ELL1, 6)
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     np.testing.assert_allclose(np.diag(rows), 1.0)
 
 
 def test_neumann_rows_have_zero_diagonal():
     ks = ellipse_knots(ELL1, 6).with_dirichlet_count(0)
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     np.testing.assert_allclose(np.diag(rows), 0.0, atol=1e-15)
 
 
 def test_two_dirichlet_knots_structure():
     ks = ellipse_knots(ELL1, 2)
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     d = np.linalg.norm(ks.boundary_positions[0] - ks.boundary_positions[1])
     assert rows[0, 1] == pytest.approx(bessel_j0(d))
     np.testing.assert_array_equal(rows, rows.T)
@@ -83,7 +83,7 @@ def test_two_dirichlet_knots_structure():
 
 def test_neumann_rows_match_manual_formula():
     ks = ellipse_knots(ELL1, 5).with_dirichlet_count(2)
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     sources = ks.boundary_positions
     for i in range(2, 5):
         x = ks.boundary_positions[i]
@@ -96,7 +96,7 @@ def test_neumann_rows_match_manual_formula():
 
 def test_interior_rows_are_value_rows():
     ks = ellipse_knots(ELL1, 4).with_interior(np.array([[0.2, 0.1]]))
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     assert rows.shape == (5, 4)
     r = np.linalg.norm(np.array([0.2, 0.1]) - ks.boundary_positions, axis=1)
     np.testing.assert_allclose(rows[4], bessel_j0(r))
@@ -104,7 +104,7 @@ def test_interior_rows_are_value_rows():
 
 def test_dirichlet_only_collocation_matrix_symmetric():
     ks = ellipse_knots(ELL1, 9)
-    rows = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))
+    rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
     assert np.max(np.abs(rows - rows.T)) <= 1e-12
 
 
@@ -117,7 +117,7 @@ def test_dirichlet_only_collocation_matrix_symmetric():
 def test_dirichlet_only_boundary_operator_is_the_plain_kernel(make_knots, c):
     # with no Neumann row the boundary operator is the kernel value, bit for bit
     ks, kernel = make_knots(), mq_pair(c)
-    gs = helmholtz_general_solution(ks.dimension)
+    gs = GeneralSolution(ks.dimension)
     nb = ks.n_boundary
     rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
     assert rows.tobytes() == gs.value(ks.distances[:nb, :nb]).tobytes()
@@ -131,7 +131,7 @@ def test_dirichlet_only_boundary_operator_is_the_plain_kernel(make_knots, c):
 def test_boundary_operator_block_and_gathered_pairs_agree():
     ks = ellipse_knots(ELL_WIDE, 12).with_dirichlet_count(5).with_interior(
         ELL_WIDE.interior_samples(4, seed=2, shrink=0.8))
-    gs = helmholtz_general_solution(2)
+    gs = GeneralSolution(2)
     radial = (gs.value, gs.normal_derivative)
     nb = ks.n_boundary
     block = solver._boundary_operator(radial, ks, ks.size, np.s_[:nb])
@@ -239,7 +239,7 @@ def test_neumann_rows_meet_their_data_with_forcing_and_interior_knots():
     neumann = ellipse_neumann(ELL1)
     sol = solve_linear(mixed_problem(), ks, mq_pair(3.0))
     fit = sol.drm_fit
-    v_n = assemble_homogeneous_rows(ks, helmholtz_general_solution(2))[nd:nb] @ sol.lam
+    v_n = assemble_homogeneous_rows(ks, GeneralSolution(2))[nd:nb] @ sol.lam
     up_n = np.array([evaluate_particular_normal(fit, x, n) for x, n in
                      zip(ks.boundary_positions[nd:], ks.boundary_normals[nd:])])
     assert np.max(np.abs(up_n)) > 0.1            # the correction is exercised
@@ -362,7 +362,7 @@ def test_boundary_rows_and_interior_values_property(a, aspect, n_boundary,
     ks = ellipse_knots(ell, n_boundary).with_dirichlet_count(nd)
     if n_interior:
         ks = ks.with_interior(ell.interior_samples(n_interior, seed, shrink=0.8))
-    gs = helmholtz_general_solution(2)
+    gs = GeneralSolution(2)
     boundary_rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
     all_rows = assemble_homogeneous_rows(ks, gs)
     assert boundary_rows.shape == (n_boundary, n_boundary)
@@ -399,6 +399,22 @@ def test_missing_dirichlet_data_is_refused_before_any_work(rest):
     with pytest.raises(ValueError, match="knots carry Dirichlet rows but no "
                                          "Dirichlet data was given"):
         solve(problem, ks, mq_pair(3.0))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("rho", None, "rho must be a RhoZero, RhoLinear or RhoBoundaryNonlinear"),
+    ("rho", RhoZero, "rho must be a RhoZero, RhoLinear or RhoBoundaryNonlinear"),
+    ("forcing", None, "forcing must be callable"),
+    ("forcing", 2.0, "forcing must be callable"),
+    ("dirichlet", 1.0, "dirichlet must be callable"),
+    ("neumann", np.zeros(3), "neumann must be callable"),
+    ("exact", "sin", "exact must be callable"),
+], ids=["rho-none", "rho-class", "forcing-none", "forcing-number",
+        "dirichlet-number", "neumann-array", "exact-string"])
+def test_problem_spec_refuses_unusable_fields(field, value, match):
+    kwargs = dict(forcing=lambda p: p[:, 0], dirichlet=lambda p: p[:, 0])
+    with pytest.raises(ValueError, match=match):
+        ProblemSpec(**{**kwargs, field: value})
 
 
 def test_solver_rejects_nonlinear_rho():

@@ -5,6 +5,9 @@ truncating each collocation row to its k nearest knots (no decay weighting,
 kept entries identical to the dense ones) yields a sparse banded system that
 any sparse direct solver handles. The neighbour relation is generally
 asymmetric.
+
+The sparse LU (``scipy.sparse.linalg``) is imported on the first truncated
+solve, so importing this module, or solving densely, does not load it.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import IllConditionedError
 from .geometry import KnotSet, _checked_count
@@ -84,6 +86,10 @@ def solve_sparse(system: SparseSystem) -> np.ndarray:
     Raises on structural or numerical singularity, and when the refined
     residual is not backward stable at the ``RESIDUAL_TOL`` level.
     """
+    # SuperLU is imported here: only truncated solves need it, and a dense
+    # solve should not pay for loading it
+    import scipy.sparse.linalg as spla
+
     m = system.matrix.tocsc()
     if m.shape[0] != m.shape[1]:
         raise ValueError("system must be square")

@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateGeometryError
 
@@ -246,20 +247,17 @@ class KnotSet:
 def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     """Euclidean distances between every row of points_a and of points_b.
 
-    Squares are summed in place, one coordinate at a time: the order of
-    ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so bit-identical to it.
+    One float64 (m, n) block from scipy's Euclidean ``cdist``, which sums
+    the squared coordinate differences in coordinate order and takes one
+    square root. For the 2-d and 3-d points used here that is the
+    arithmetic of ``np.linalg.norm(a[:, None] - b[None], axis=2)``, so the
+    same bits (``tests/test_geometry.py`` pins this at the solver's block
+    sizes). Integer coordinates give the distances of their float copies.
     """
     a, b = np.asarray(points_a), np.asarray(points_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    np.square(out, out=out)
-    term = np.empty_like(out)
-    for j in range(1, a.shape[1]):
-        np.subtract.outer(a[:, j], b[:, j], out=term)
-        np.square(term, out=term)
-        out += term
-    return np.sqrt(out, out=out)
+    return cdist(a, b)
 
 
 def _normal_projections(points, normals, sources, r):

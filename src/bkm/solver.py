@@ -42,6 +42,12 @@ from .kernels import GeneralSolution, KernelPair
 # Remaining-operator descriptors
 # ---------------------------------------------------------------------------
 
+def _check_callable(name: str, fn, optional: bool = False):
+    """Refuse ``fn`` unless it is callable (or None, when ``optional``)."""
+    if not (callable(fn) or optional and fn is None):
+        raise ValueError(f"{name} must be callable, got {fn!r}")
+
+
 @dataclass(frozen=True)
 class RhoZero:
     """No remaining operator: the equation is exactly Helmholtz."""
@@ -58,6 +64,9 @@ class RhoLinear:
 
     basis_images: Callable[[KnotSet, KernelPair], np.ndarray]
 
+    def __post_init__(self):
+        _check_callable("basis_images", self.basis_images)
+
 
 @dataclass(frozen=True)
 class RhoBoundaryNonlinear:
@@ -69,6 +78,9 @@ class RhoBoundaryNonlinear:
     """
 
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        _check_callable("apply", self.apply)
 
 
 RhoDescriptor = Union[RhoZero, RhoLinear, RhoBoundaryNonlinear]
@@ -99,9 +111,7 @@ class ProblemSpec:
             raise ValueError("rho must be a RhoZero, RhoLinear or "
                              f"RhoBoundaryNonlinear instance, got {self.rho!r}")
         for name in ("forcing", "dirichlet", "neumann", "exact"):
-            fn = getattr(self, name)
-            if not (callable(fn) or fn is None and name != "forcing"):
-                raise ValueError(f"{name} must be callable, got {fn!r}")
+            _check_callable(name, getattr(self, name), optional=name != "forcing")
 
 
 @dataclass

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +19,30 @@ from bkm.solver import ProblemSpec, assemble_homogeneous_rows, solve_linear
 from oracles import fibonacci_sphere
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
+
+#: Prints whether the sparse LU module is loaded after a dense solve, then
+#: after a truncated one.
+_SPARSE_LU_LOADED = """
+import sys
+import numpy as np
+import bkm
+ks = bkm.ellipse_knots(bkm.Ellipse(np.zeros(2), 2.0, 1.0), 7)
+problem = bkm.ProblemSpec(forcing=lambda p: p[:, 0],
+                          dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0])
+for frm_k in (None, 7):
+    bkm.solve_linear(problem, ks, bkm.mq_pair(3.0), frm_k=frm_k)
+    print("scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_only_a_truncated_solve_loads_the_sparse_lu():
+    # a fresh interpreter: this one has loaded it already
+    src = str(Path(bkm.geometry.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _SPARSE_LU_LOADED], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_solve_sparse_refuses_a_non_square_system():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from bkm.errors import DegenerateGeometryError
@@ -267,8 +267,33 @@ def test_interior_samples_refuse_a_negative_count():
         Ellipse(np.zeros(2), 2.0, 1.0).interior_samples(-3, seed=0)
 
 
+def _block_examples():
+    """Blocks at the solver's sizes, in the layouts its callers pass: the
+    `wide` evaluation (256 points by 144 knots), a 3-d block, Fortran
+    order, strided column views of one wider array, and integer
+    coordinates (which used to fail in the square root's integer output)."""
+    rng = np.random.default_rng(20)
+    wide = (rng.uniform(-10, 10, (256, 2)), rng.uniform(-10, 10, (144, 2)))
+    solid = (rng.normal(0, 5, (200, 3)), rng.normal(0, 5, (150, 3)))
+    fortran = tuple(np.asfortranarray(x) for x in wide)
+    table = rng.normal(0, 3, (300, 6))
+    strided = (table[:, ::3], table[:120, 1::3])
+    whole = (np.array([[0, 0], [3, 4], [-7, 2]]), np.array([[1, 1], [6, 8]]))
+    return wide, solid, fortran, strided, whole
+
+
+BLOCKS = _block_examples()
+
+
 @given(point_set_pairs())
+@example(BLOCKS[0])
+@example(BLOCKS[1])
+@example(BLOCKS[2])
+@example(BLOCKS[3])
+@example(BLOCKS[4])
 def test_pairwise_distances_bit_identical_to_norm(pair):
+    # the sum of squares in coordinate order, then one square root; a build
+    # that fused the multiply-add would change bytes and fail here
     a, b = pair
     expected = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     got = pairwise_distances(a, b)
@@ -296,6 +321,9 @@ def test_knotset_distances_read_only_and_exact():
         assert np.all(diag == 0.0) and not np.any(np.signbit(diag))
         full = pairwise_distances(ks.all_positions, ks.all_positions)
         assert d.tobytes() == full.tobytes()
+    # exactly symmetric, which the DRM right-hand side relies on
+    d = ellipse_knots(Ellipse(np.zeros(2), 10.0, 5.0), 1000).distances
+    assert d.tobytes() == d.T.copy().tobytes()
 
 
 def test_knotset_immutable_arrays():

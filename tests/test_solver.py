@@ -417,6 +417,16 @@ def test_problem_spec_refuses_unusable_fields(field, value, match):
         ProblemSpec(**{**kwargs, field: value})
 
 
+@pytest.mark.parametrize("make, field", [(RhoLinear, "basis_images"),
+                                         (RhoBoundaryNonlinear, "apply")])
+@pytest.mark.parametrize("value", [None, 2.0, np.zeros((3, 3))],
+                         ids=["none", "number", "array"])
+def test_rho_descriptors_refuse_a_non_callable(make, field, value):
+    # accepted, these used to fail only inside the solve's right-hand side
+    with pytest.raises(ValueError, match=f"{field} must be callable, got "):
+        make(value)
+
+
 def test_solver_rejects_nonlinear_rho():
     ks = ellipse_knots(ELL2, 7)
     with pytest.raises(ValueError):
@@ -775,15 +785,14 @@ def wide_solution():
     return solve_linear(helmholtz_problem(ELL_WIDE), ks, mq_pair(4.0))
 
 
-def test_evaluate_holds_two_distance_sized_blocks_at_most():
-    # pairwise_distances' two blocks set the peak: phi_hat then writes its
-    # block over the distances. The J0 block has N_b columns, and ufunc
-    # iterator buffers and the cube's 64 KB slice stay below another 2 m N_b
-    # entries
+def test_evaluate_holds_one_distance_block_at_most():
+    # pairwise_distances returns one m x n block and phi_hat writes its own
+    # over it; beside it live the J0 block (N_b columns), one slice of the
+    # cube's square root and small ufunc buffers
     sol = wide_solution()
     pts = ELL_WIDE.interior_samples(256, seed=4)
     m, n, nb = len(pts), sol.knots.size, sol.knots.n_boundary
-    budget = (2 * m * n + 2 * m * nb) * 8 + 16 * 1024
+    budget = (m * n + m * nb) * 8 + kernels._CUBE_SLICE * 8 + 16 * 1024
     assert allocation_peak(lambda: evaluate(sol, pts)) <= budget
 
 

@@ -1,16 +1,16 @@
-"""Dense LU with 1-norm condition estimates and refusal past a threshold.
+"""Checked linear solves: dense LU with a 1-norm condition estimate, and one
+backward-error gate for every dense and sparse stage.
 
 Multiquadric collocation matrices are notoriously ill-conditioned, so every
-factorisation here produces a condition estimate and raises
-:class:`IllConditionedError` instead of silently returning noise once the
-estimate passes ``COND_LIMIT``. A single iterative-refinement step is applied
-to each solve: its residual is accumulated in extended precision for one
-right-hand side, and in float64 BLAS for a matrix of them. The extended
-residual b - A x is formed by ``np.dot`` of a bounded block of rows of A
-with the ``longdouble`` x, so only those rows are converted and no n x n
-long-double copy of the matrix is made. Each row's dot product runs in the
-same order as in the whole-matrix ``longdouble`` product, so the residual
-has the same bits; ``np.dot`` skips the general matmul loop and is faster.
+dense factorisation estimates its condition and raises
+:class:`IllConditionedError` instead of returning noise past ``COND_LIMIT``.
+Every solve then passes :func:`checked_solve`, which measures the normwise
+backward error (Rigal & Gaches, J. ACM 14, 1967). LU with partial pivoting
+keeps it near eps unless its pivots grow large (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., §7.1, ch. 9 and 12), and one
+float64 refinement step repairs large growth (Skeel, Math. Comp. 35, 1980).
+The measure is normwise because a componentwise one refuses exact answers
+whose zero entries meet zero right-hand-side entries.
 
 LAPACK's ``dgetrf`` / ``dgetrs`` / ``dgecon`` are called directly: they are
 what ``scipy.linalg.lu_factor`` / ``lu_solve`` call, with the same arguments,
@@ -30,22 +30,44 @@ from .errors import IllConditionedError
 #: Refuse to solve past this 1-norm condition estimate.
 COND_LIMIT = 1e14
 
-_LD = np.longdouble
-
-#: Long-double entries of A converted per block of the refinement residual
-#: (64 KB). Converting the whole matrix costs n^2 * 16 B per solve, 332 KB
-#: at n = 144, more than the float64 matrix itself; matrices of up to 64 x 64
-#: fit one block.
-_RESIDUAL_BLOCK_ENTRIES = 4096
+#: Refuse a solve whose backward error exceeds this after one refinement step.
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """Diagnostics for one dense factorisation: what, how big, how bad."""
+    """Diagnostics for one factorisation: its 1-norm condition estimate (None
+    for a sparse one) and the largest backward error ``eta`` of its solves."""
 
     label: str
     size: int
-    condition: float
+    condition: float | None
+    eta: float
+
+
+def checked_solve(solve, matrix, norm, rhs, label, condition=None):
+    """``solve(rhs)`` and its normwise backward error
+    eta = |b - A x| / (|A| |x| + |b|) in the infinity norm, the largest over
+    the columns of a matrix ``rhs``; ``norm`` is |A|. Refines once in float64
+    only if eta exceeds ``RESIDUAL_TOL``; if it still does, raises
+    :class:`IllConditionedError` naming ``label`` and carrying ``condition``.
+    A non-finite x raises ``LinAlgError`` before eta is formed.
+    """
+    rhs_norm = np.abs(rhs).max(axis=0)
+    x = solve(rhs)
+    for may_refine in (True, False):
+        x_norm = np.abs(x).max(axis=0)
+        if not (x_norm < np.inf).all():        # an inf or a NaN in x
+            raise np.linalg.LinAlgError(f"{label} solve produced non-finite values")
+        resid = rhs - matrix @ x
+        scale = norm * x_norm + rhs_norm + 1e-300   # eta = 0 where x = b = 0
+        eta = (np.abs(resid).max(axis=0) / scale).max(initial=0.0)
+        if eta <= RESIDUAL_TOL:
+            return x, float(eta)
+        if may_refine:
+            x = x + solve(resid)
+    raise IllConditionedError(f"{label} solve backward error {eta:.3e} exceeds "
+                              f"{RESIDUAL_TOL:.0e}", condition)
 
 
 class FactoredMatrix:
@@ -55,11 +77,11 @@ class FactoredMatrix:
         a = np.ascontiguousarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
-        self.matrix = a
-        self.label = label
-        # np.linalg.norm(a, 1); it is finite whenever every entry is, unless
-        # a column sum overflows, so the entrywise check runs only then
-        anorm = np.abs(a).sum(axis=0).max()
+        self.matrix, self.size, self.label = a, a.shape[0], label
+        self.eta = 0.0          # the largest backward error of its solves
+        # |a|_1 = |a.T|_inf for dgecon, |a|_inf for eta: dlange on the Fortran view
+        # a.T, no copy. Finite when every entry is, unless a sum overflows
+        anorm, self._norm_inf = lapack.dlange("I", a.T), lapack.dlange("1", a.T)
         if not np.isfinite(anorm) and not np.isfinite(a).all():
             raise ValueError(f"{label} matrix must not contain infs or NaNs")
         # an exactly zero pivot (info > 0) surfaces as IllConditionedError below
@@ -74,12 +96,9 @@ class FactoredMatrix:
                 f"{label} of size {a.shape[0]} is numerically rank-deficient",
                 self.condition)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
     def record(self) -> SolveRecord:
-        return SolveRecord(label=self.label, size=self.size, condition=self.condition)
+        return SolveRecord(label=self.label, size=self.size,
+                           condition=self.condition, eta=self.eta)
 
     def solve(self, rhs):
         """Solve A x = rhs for one right-hand side or a matrix of them."""
@@ -89,29 +108,10 @@ class FactoredMatrix:
                              f"a {self.size} x {self.size} {self.label}")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        x = self._lu_solve(b)
-        # one refinement step. A matrix of right-hand sides takes a float64
-        # BLAS residual, since a long-double matrix product runs outside BLAS;
-        # fixed-precision refinement is still componentwise backward stable
-        # (Skeel 1980).
-        if b.ndim == 1:
-            resid = self._extended_residual(b, x)
-        else:
-            resid = b - self.matrix @ x
-        if not np.isfinite(resid).all():
-            raise ValueError("refinement residual must not contain infs or NaNs")
-        return x + self._lu_solve(resid)
-
-    def _extended_residual(self, b, x):
-        """b - A x accumulated in long double, rounded to float64."""
-        a, x = self.matrix, x.astype(_LD)
-        n = self.size
-        rows = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
-        resid = np.empty(n)
-        for i in range(0, n, rows):
-            block = slice(i, i + rows)
-            resid[block] = b[block].astype(_LD) - np.dot(a[block], x)
-        return resid
+        x, eta = checked_solve(self._lu_solve, self.matrix, self._norm_inf, b,
+                               self.label, self.condition)
+        self.eta = max(self.eta, eta)
+        return x
 
     def _lu_solve(self, b):
         x, info = lapack.dgetrs(self._lu, self._piv, b)
@@ -122,4 +122,3 @@ class FactoredMatrix:
 def _check_info(routine, info):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
-

@@ -123,8 +123,9 @@ def _format_report(report, fmt) -> list[str]:
 
 def _log_diagnostics(records) -> None:
     for rec in records:
-        log.info("%s: size %d, condition estimate %.3e",
-                 rec.label, rec.size, rec.condition)
+        condition = ("" if rec.condition is None
+                     else f", condition estimate {rec.condition:.3e}")
+        log.info("%s: size %d%s, eta %.3e", rec.label, rec.size, condition, rec.eta)
 
 
 def _run_bench(args) -> tuple[int, list[str]]:

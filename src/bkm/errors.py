@@ -12,9 +12,10 @@ class DegenerateGeometryError(BkmError, ValueError):
 class IllConditionedError(BkmError, ArithmeticError):
     """Raised when a linear system is too ill-conditioned to solve reliably.
 
-    Carries the 1-norm condition estimate that triggered the refusal.
+    Carries the 1-norm condition estimate, or None where a stage has none.
     """
 
-    def __init__(self, message: str, condition: float):
-        super().__init__(f"{message} (condition estimate {condition:.3e})")
+    def __init__(self, message: str, condition: float | None = None):
+        super().__init__(message if condition is None
+                         else f"{message} (condition estimate {condition:.3e})")
         self.condition = condition

@@ -12,7 +12,8 @@ unknown never appears inside the remaining operator, so no iteration is
 needed. A linear remaining operator keeps the same two stages: the fit's
 right-hand side is affine in the interior u-values, which join the
 collocation as unknowns. Each solution records one :class:`SolveRecord` per
-dense factorisation, which is how tests assert the single-solve property.
+factorisation, dense or sparse, which is how tests assert the single-solve
+property; every solve passes one backward-error gate.
 
 One function applies the boundary operator (the value, or on Neumann rows
 the normal derivative) to J0 for the dense rows and the truncated entries,
@@ -120,7 +121,7 @@ class BkmSolution:
 
     ``lam`` weights the general-solution basis centred at the boundary
     knots; ``drm_fit`` carries the particular-solution expansion.
-    ``diagnostics`` holds one record per dense factorisation performed.
+    ``diagnostics`` holds one record per factorisation, dense or sparse.
 
     ``interior_u`` is u at the interior knots, None without them. A linear
     rest with interior knots solves for these values, and they are stored
@@ -260,14 +261,15 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
 
 
 def _solve_stage(dense, entries, rhs, knots, frm_k, label):
-    """Dense checked LU of ``dense()``, returning the solution and the
-    factorisation; or, with ``frm_k``, the sparse LU of the system truncated
-    to each row's k nearest knots, assembled from ``entries(rows, cols)`` at
-    the kept pairs only, which keeps no factorisation."""
+    """Dense checked LU of ``dense()``; or, with ``frm_k``, the sparse LU of
+    the system truncated to each row's k nearest knots, assembled from
+    ``entries(rows, cols)`` at the kept pairs only. Returns the solution and
+    the factorisation or sparse system, whose ``record()`` is the stage's."""
     if frm_k is None:
         lu = FactoredMatrix(dense(), label=label)
         return lu.solve(rhs), lu
-    return solve_sparse(truncate_system(entries, rhs, knots, frm_k)), None
+    system = truncate_system(entries, rhs, knots, frm_k, label)
+    return solve_sparse(system), system
 
 
 def _finish_two_step(problem, knots, kernel, frm_k=None):
@@ -328,8 +330,8 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     are mapped through.
 
     ``frm_k`` truncates both systems to each row's k nearest knots and solves
-    them by sparse LU, recording no diagnostics; it needs boundary knots only
-    and no linear rest.
+    them by sparse LU, whose records carry no condition estimate; it needs
+    boundary knots only and no linear rest.
     """
     if isinstance(problem.rho, RhoBoundaryNonlinear):
         raise ValueError("nonlinear remaining operators take the "

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 Bessel values come from an extended-precision power-series summation,
-derivatives from finite differences, zeros from bisection on the series, and
-operator-adapted (GSR) kernel blocks from one kernel call per entry. The
+derivatives from finite differences, zeros from bisection on the series,
+operator-adapted (GSR) kernel blocks from one kernel call per entry, and
+linear solves from 40-digit LU. The
 reference kernels at the end are the plain whole-array expressions of the
 kernel blocks, one temporary per operation, which the library's in-place
 evaluation must match bit for bit; a bitwise comparison and an allocation
@@ -132,6 +133,22 @@ def gsr_bordered_beta(kernel, psi, nodes, values):
         bordered[i, :n] = gsr_kernel_row(kernel, pts, x)
         bordered[i, n] = bordered[n, i] = psi(x)
     return np.linalg.solve(bordered, np.append(values, 0.0))
+
+
+def mp_solve(matrix, rhs, dps=40):
+    """The exact float64 system A x = b solved by ``mpmath.lu_solve`` at
+    ``dps`` digits, rounded to float64; a matrix ``rhs`` column by column.
+
+    Every float64 converts to an mpf exactly, so the answer is that of the
+    stage's own matrix and right-hand side, free of its solver's round-off.
+    """
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    with mp.workdps(dps):
+        a_mp = mp.matrix(a.tolist())
+        columns = [mp.lu_solve(a_mp, mp.matrix(col.tolist()))
+                   for col in b.reshape(len(b), -1).T]
+    return np.array([[float(v) for v in col] for col in columns]).T.reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------

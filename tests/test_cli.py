@@ -235,3 +235,15 @@ def test_bkm_log_info_reports_diagnostics(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "bench", "table1")
     assert code == 0
     assert "condition estimate" not in err
+
+
+@pytest.mark.parametrize("frm", [[], ["--frm", "9"]], ids=["dense", "truncated"])
+def test_bkm_log_info_reports_each_stages_backward_error(capsys, monkeypatch, frm):
+    monkeypatch.setenv("BKM_LOG", "info")
+    code, out, err = run_cli(capsys, "bench", "table2", *frm)
+    assert code == 0
+    stages = [line for line in err.splitlines() if ", eta " in line]
+    assert [line.split(": ")[1] for line in stages] == ["particular-fit", "collocation"]
+    for line in stages:
+        assert float(line.rsplit(" ", 1)[1]) <= 1e-9
+        assert ("condition estimate" in line) == (not frm)

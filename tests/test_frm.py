@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 import bkm.geometry
 import bkm.solver
-from bkm._linalg import FactoredMatrix
+import bkm._linalg
+from bkm._linalg import RESIDUAL_TOL, FactoredMatrix, SolveRecord
 from bkm.drm import build_interpolation_matrix
 from bkm.errors import BkmError, IllConditionedError
 from bkm.frm import SparseSystem, solve_sparse, truncate_system
@@ -331,3 +332,26 @@ def test_sparse_system_records_k():
     assert isinstance(sparse, SparseSystem)
     assert sparse.k == 4
     assert sparse.size == 10
+
+
+def test_sparse_refusal_names_the_stage_and_no_condition(monkeypatch):
+    ks, matrix, rhs = mq_system(10)
+    system = truncate_system(matrix, rhs, ks, 4, "collocation")
+    monkeypatch.setattr(bkm._linalg, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(IllConditionedError, match="collocation solve backward error") \
+            as info:
+        solve_sparse(system)
+    assert info.value.condition is None
+    assert "condition estimate" not in str(info.value)
+
+
+def test_sparse_solve_records_its_backward_error():
+    ks, matrix, rhs = mq_system(10)
+    system = truncate_system(matrix, rhs, ks, 4, "particular-fit")
+    assert system.eta is None
+    x = solve_sparse(system)
+    a = system.matrix
+    eta = np.max(np.abs(rhs - a @ x)) / (
+        abs(a).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    assert system.eta == eta and 0 < eta <= RESIDUAL_TOL
+    assert system.record() == SolveRecord("particular-fit", 10, None, eta)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bkm.errors import IllConditionedError
 from bkm.gsr import (KINDS, ConstrainedFit, GsrKernel, constrained_interpolate,
                      evaluate_constrained, timespace_distance)
-from oracles import gsr_bordered_beta, gsr_kernel_row, safe_log
+from oracles import gsr_bordered_beta, gsr_kernel_row, mp_solve, safe_log
 
 coord = st.floats(min_value=-20.0, max_value=20.0,
                   allow_nan=False, allow_infinity=False)
@@ -199,6 +199,26 @@ def test_timespace_distance_metric_axioms(ax, at, bx, bt, cx, ct):
 
 def tps_kernel():
     return GsrKernel("simple", g=safe_log, m=1)
+
+
+def test_exact_zero_components_pass_the_normwise_gate():
+    # a bordered TPS system (condition ~31) with a node at the origin, drawn
+    # by test_constrained_fit_property: its answer holds exact zeros where
+    # the right-hand side is 0, so its componentwise backward error is ~1,
+    # although the answer is exact to round-off. A normwise gate accepts it
+    nodes = 0.1 * np.array([[-3.0, -1.0], [0.0, -1.0], [0.0, 0.0]])
+    psi = lambda x: x[..., 0]
+    rhs = np.array([-1.4, 0.0, 0.0, 0.0])
+    fit = constrained_interpolate(nodes, tps_kernel(), psi, rhs[:3])
+    bordered = np.zeros((4, 4))
+    for i, x in enumerate(nodes):
+        bordered[i, :3] = gsr_kernel_row(tps_kernel(), nodes, x)
+        bordered[i, 3] = bordered[3, i] = psi(x)
+    resid = np.abs(rhs - bordered @ fit.beta)
+    scale = np.abs(bordered) @ np.abs(fit.beta) + np.abs(rhs)
+    assert np.max(resid / np.maximum(scale, 1e-300)) > 0.5
+    exact = mp_solve(bordered, rhs)
+    assert np.max(np.abs(fit.beta - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_constraint_absorbs_psi_samples():

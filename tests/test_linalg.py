@@ -1,23 +1,20 @@
-"""FactoredMatrix against the scipy wrappers it replaces, and the input checks
-that guard every dense solve and field evaluation."""
-import math
+"""FactoredMatrix against the scipy wrappers it replaces, the backward-error
+gate every solve passes, and the input checks that guard every dense solve
+and field evaluation."""
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bkm import _linalg, solver
+from bkm import _linalg, frm, solver
 from bkm._linalg import FactoredMatrix
-from bkm.bench import run_case, table2_case
 from bkm.drm import evaluate_particular
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, ellipse_knots
 from bkm.kernels import _validated_radius, mq_pair
 from bkm.solver import ProblemSpec, solve_linear
-from oracles import allocation_peak
-
-LD = np.longdouble
+from oracles import allocation_peak, mp_solve
 
 
 def well_conditioned(n, seed):
@@ -34,31 +31,19 @@ def wide_range(n, seed):
     return a, rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
 
 
-def lu_oracle(a, b, residual_dtype):
-    """lu_factor + lu_solve with one refinement step, residual in the given dtype."""
-    lu = sla.lu_factor(a)
-    x = sla.lu_solve(lu, b)
-    resid = (b.astype(residual_dtype)
-             - a.astype(residual_dtype) @ x.astype(residual_dtype)).astype(float)
-    return x + sla.lu_solve(lu, resid)
+def lu_oracle(a, b):
+    """Plain lu_factor + lu_solve: no refinement."""
+    return sla.lu_solve(sla.lu_factor(a), b)
 
 
-def long_double_residual(a, b, x):
-    return float(np.max(np.abs(b.astype(LD) - a.astype(LD) @ x.astype(LD))))
-
-
-#: The largest n whose long-double residual is formed in one block.
-ONE_BLOCK = math.isqrt(_linalg._RESIDUAL_BLOCK_ENTRIES)
-
-
-@pytest.mark.parametrize("n", [1, 7, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1,
-                               144, 300])
+@pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 144, 300])
 def test_vector_solve_bit_identical_to_scipy_oracle(n):
-    # the oracle forms the residual from the whole long-double matrix; the
-    # solver forms it by np.dot, a block of rows at a time past ONE_BLOCK
+    # a backward-stable LU solve is accepted as it is: no refinement step
     for a, b in (well_conditioned(n, seed=n), wide_range(n, seed=n)):
-        got = FactoredMatrix(a).solve(b)
-        assert got.tobytes() == lu_oracle(a, b, LD).tobytes()
+        f = FactoredMatrix(a)
+        got = f.solve(b)
+        assert got.tobytes() == lu_oracle(a, b).tobytes()
+        assert f.eta <= _linalg.RESIDUAL_TOL
 
 
 def test_vector_solve_makes_no_matrix_sized_copy():
@@ -68,11 +53,11 @@ def test_vector_solve_makes_no_matrix_sized_copy():
     assert allocation_peak(lambda: f.solve(b)) < n * n * 8
 
 
-def test_matrix_rhs_refines_with_a_float64_residual():
+def test_matrix_rhs_bit_identical_to_scipy_oracle():
     a, _ = well_conditioned(40, seed=3)
     b = np.random.default_rng(4).standard_normal((40, 40))
     got = FactoredMatrix(a).solve(b)
-    assert got.tobytes() == lu_oracle(a, b, float).tobytes()
+    assert got.tobytes() == lu_oracle(a, b).tobytes()
 
 
 def test_condition_estimate_matches_dgecon_on_the_scipy_factors():
@@ -149,27 +134,72 @@ def test_evaluate_rejects_non_finite_query_points():
                 evaluator(solution, bad)
 
 
-def test_refinement_reduces_both_table2_residuals(monkeypatch):
-    """The extended-precision step is what makes the 9-knot table2 systems
-    (fit condition ~2e10) closer to solved than a plain LU solve.
+def wilkinson(n):
+    """Wilkinson's matrix: 1 on the diagonal and in the last column, -1 below
+    the diagonal. Partial pivoting swaps no row and the last column of U
+    doubles at each step, a pivot growth of 2^(n-1)."""
+    a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    a[:, -1] = 1.0
+    return a
 
-    Against the exact field the refined and unrefined answers differ by
-    ~3e-5, about 3000 times less than the discretisation error (~9e-2) and
-    in either direction point by point, so the pin is on the residual of
-    each system, the quantity the refinement reduces.
-    """
-    stages = []
-    refined_solve = FactoredMatrix.solve
 
-    def spy(self, rhs):
-        x = refined_solve(self, rhs)
-        stages.append((self.label, self.matrix, np.asarray(rhs, dtype=float), x))
-        return x
+def test_large_pivot_growth_is_refined_once(monkeypatch):
+    a, b = wilkinson(60), np.random.default_rng(0).standard_normal(60)
+    f = FactoredMatrix(a)
+    unrefined = sla.lu_solve(sla.lu_factor(a), b)
+    eta = np.max(np.abs(b - a @ unrefined)) / (
+        np.abs(a).sum(axis=1).max() * np.max(np.abs(unrefined)) + np.max(np.abs(b)))
+    assert eta > 1e-3                    # the growth spoils the plain solve
+    solves = []
+    lu_solve = FactoredMatrix._lu_solve
+    monkeypatch.setattr(FactoredMatrix, "_lu_solve",
+                        lambda self, rhs: solves.append(rhs) or lu_solve(self, rhs))
+    x = f.solve(b)
+    assert len(solves) == 2              # the solve and one refinement step
+    assert f.eta <= _linalg.RESIDUAL_TOL and f.record().eta == f.eta
+    exact = mp_solve(a, b)
+    assert np.max(np.abs(x - exact)) <= 1e-14 * np.max(np.abs(exact))
 
-    monkeypatch.setattr(_linalg.FactoredMatrix, "solve", spy)
-    report = run_case(table2_case(), 9, 18.0)
-    assert report.error is None and report.max_rel <= 0.08
-    assert [label for label, *_ in stages] == ["particular-fit", "collocation"]
-    for label, a, b, x in stages:
-        plain = sla.lu_solve(sla.lu_factor(a), b)
-        assert long_double_residual(a, b, x) < long_double_residual(a, b, plain), label
+
+def test_record_carries_the_largest_backward_error_of_its_solves():
+    a, b = well_conditioned(30, seed=8)
+    f = FactoredMatrix(a, label="fit")
+    assert f.record() == _linalg.SolveRecord("fit", 30, f.condition, 0.0)
+    etas = []
+    for rhs in (b, np.random.default_rng(9).standard_normal((30, 4)), 1e3 * b):
+        f.solve(rhs)
+        etas.append(f.eta)
+    assert etas == sorted(etas) and 0 < f.record().eta <= _linalg.RESIDUAL_TOL
+
+
+def test_one_tolerance_serves_dense_and_sparse_solves():
+    assert frm.RESIDUAL_TOL is _linalg.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("rhs_columns", [None, 3], ids=["vector", "matrix"])
+def test_dense_refusal_names_the_stage_and_its_condition(monkeypatch, rhs_columns):
+    a, b = well_conditioned(20, seed=6)
+    if rhs_columns:
+        b = np.random.default_rng(7).standard_normal((20, rhs_columns))
+    f = FactoredMatrix(a, label="particular-fit")
+    monkeypatch.setattr(_linalg, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(IllConditionedError, match=re.escape(
+            "particular-fit solve backward error")) as info:
+        f.solve(b)
+    assert info.value.condition == f.condition
+    assert f"condition estimate {f.condition:.3e}" in str(info.value)
+
+
+def test_a_refusal_without_a_condition_names_no_estimate():
+    err = IllConditionedError("collocation solve backward error 1e-08 exceeds 1e-09")
+    assert err.condition is None
+    assert str(err) == "collocation solve backward error 1e-08 exceeds 1e-09"
+    assert str(IllConditionedError("fit", np.inf)) == "fit (condition estimate inf)"
+
+
+def test_a_non_finite_solution_is_refused_before_its_backward_error(monkeypatch):
+    a, b = well_conditioned(5, seed=2)
+    f = FactoredMatrix(a, label="fit")
+    monkeypatch.setattr(FactoredMatrix, "_lu_solve", lambda self, rhs: rhs * np.inf)
+    with pytest.raises(np.linalg.LinAlgError, match="fit solve produced non-finite"):
+        f.solve(b)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkm import kernels, solver
-from bkm._linalg import FactoredMatrix
+from bkm import _linalg, kernels, solver
+from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
 from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import IllConditionedError
@@ -749,10 +749,31 @@ def test_truncation_refuses_a_fractional_k(solve, problem):
     (solve_linear, helmholtz_problem(), 12, 3.0),
     (solve_nonlinear_boundary_only, nonlinear_problem(), 12, 18.0)],
     ids=["linear", "nonlinear"])
-def test_truncated_solution_records_no_diagnostics(solve, problem, n, c):
+def test_truncated_solution_records_both_stages(solve, problem, n, c):
     sol = solve(problem, ellipse_knots(problem.geometry, n), mq_pair(c), frm_k=5)
-    assert sol.diagnostics == ()
+    assert [(rec.label, rec.size, rec.condition) for rec in sol.diagnostics] == \
+        [("particular-fit", n, None), ("collocation", n, None)]
+    assert all(0 < rec.eta <= RESIDUAL_TOL for rec in sol.diagnostics)
     assert np.all(np.isfinite(sol.lam))
+
+
+@pytest.mark.parametrize("frm_k", [None, 7], ids=["dense", "truncated"])
+def test_a_backward_error_refusal_names_the_stage(monkeypatch, frm_k):
+    # the dense path reports the stage's own condition estimate, the sparse
+    # path, which has none, reports no estimate
+    monkeypatch.setattr(_linalg, "RESIDUAL_TOL", 0.0)
+    problem = helmholtz_problem()
+    ks = ellipse_knots(ELL1, 7)
+    with pytest.raises(IllConditionedError,
+                       match="particular-fit solve backward error") as info:
+        solve_linear(problem, ks, mq_pair(3.0), frm_k=frm_k)
+    if frm_k is None:
+        fit = FactoredMatrix(build_interpolation_matrix(ks, mq_pair(3.0)))
+        assert info.value.condition == fit.condition
+        assert f"(condition estimate {fit.condition:.3e})" in str(info.value)
+    else:
+        assert info.value.condition is None
+        assert "condition estimate" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------

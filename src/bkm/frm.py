@@ -60,12 +60,12 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int,
     k of them, zeros included (nnz = N k).
 
     Cost/memory: the entries and the CSR matrix are O(N k). The pattern is
-    one O(N^2) partition of :attr:`KnotSet.distances` (an N x N copy and an
-    N x N boolean mask) per knot set and k, kept on the knot set, so both
-    systems of a solve share it. A dense ``matrix`` brings its own N^2
-    entries. In a truncated solve what stays O(N^2) is the distance matrix,
-    that one partition, and the dense ``phi_hat`` block the solver needs
-    for ``u_p`` at the knots, which is global.
+    a k-d tree query plus one comparison pass over :attr:`KnotSet.distances`
+    per knot set and k, kept on the knot set, so both systems of a solve
+    share it. A dense ``matrix`` brings its own N^2 entries. In a truncated
+    solve the N x N arrays are the distance matrix and that pass's boolean
+    mask; the solver takes ``u_p`` at the knots, which is global, as a
+    product over row slices.
     """
     n, k = knots.size, _checked_count(k, "neighbour count", 1, knots.size)
     if callable(matrix):

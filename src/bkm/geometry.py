@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateGeometryError
@@ -190,14 +191,17 @@ class KnotSet:
 
         Distances are :attr:`distances`; ties at the k-th distance break
         towards the lower knot index, as a stable sort of each row would.
-        The pattern is computed once per k and kept: one O(N^2) partition of
-        the distance matrix, plus a short stable sort for each row with a tie
-        at its k-th distance.
+        The pattern is computed once per k and kept: a k-d tree query for k
+        candidates per knot (O(N log N) expected), one comparison pass over
+        the distance matrix, and a short stable sort for each row with a tie
+        at its k-th distance. The one N x N temporary is that pass's
+        boolean mask.
         """
         k = _checked_count(k, "neighbour count", 1, self.size)
         pattern = self._neighbours.get(k)
         if pattern is None:
-            pattern = self._neighbours[k] = _nearest_neighbours(self._distances, k)
+            pattern = self._neighbours[k] = _nearest_neighbours(
+                self._all, self._distances, k)
         return pattern
 
     @property
@@ -274,17 +278,26 @@ def _normal_projections(points, normals, sources, r):
     return np.divide(dots, r, out=proj, where=r > COINCIDENT_TOL)
 
 
-def _nearest_neighbours(dists: np.ndarray, k: int):
-    """CSR ``(indices, indptr)`` of each row's k smallest distances, ties to
-    the lower column index; see :meth:`KnotSet.neighbours`."""
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    keep = dists <= kth
-    for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
-        # ties at the k-th distance: the candidates are in index order, so a
-        # stable sort of them keeps the lower indices
-        tied = np.flatnonzero(keep[i])
-        keep[i, tied[np.argsort(dists[i, tied], kind="stable")[k:]]] = False
-    indices = np.nonzero(keep)[1]
+def _nearest_neighbours(positions: np.ndarray, dists: np.ndarray, k: int):
+    """CSR ``(indices, indptr)`` of each row's k smallest ``dists``, ties to
+    the lower column index; see :meth:`KnotSet.neighbours`.
+
+    A k-d tree gives each point k distinct candidates. The largest stored
+    distance over any k entries of a row is at least the row's true k-th
+    smallest, so ``dists <= kth`` holds every true neighbour. A row with
+    exactly k such entries has found them; a row with more (a tie, or a
+    tree distance that rounds apart from the stored one) takes the first k
+    of a stable sort of them, in index order, which is the stable sort of
+    the whole row. The rule is exact, with no tolerance.
+    """
+    n = len(dists)
+    cand = np.reshape(cKDTree(positions).query(positions, k)[1], (n, k))
+    kth = np.take_along_axis(dists, cand, axis=1).max(axis=1, keepdims=True)
+    indices = np.sort(cand, axis=1)
+    for i in np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) > k):
+        tied = np.flatnonzero(dists[i] <= kth[i])
+        indices[i] = np.sort(tied[np.argsort(dists[i, tied], kind="stable")[:k]])
+    indices = indices.ravel()
     indptr = np.arange(0, indices.size + 1, k)
     for arr in (indices, indptr):
         arr.setflags(write=False)

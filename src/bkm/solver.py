@@ -148,22 +148,28 @@ class BkmSolution:
 # Assembly
 # ---------------------------------------------------------------------------
 
+#: Entries in one row slice of the u_p block in :func:`_boundary_rhs`:
+#: 256 KB of float64, so a ``paper`` or ``wide`` block (at most 32 x 144)
+#: is one slice.
+_RHS_SLICE = 32768
+
+
 def _boundary_operator(radial, knots: KnotSet, rows, cols):
     """The boundary operator on a radial kernel ``(value, normal_derivative)``
     at knot distances: the normal derivative at the row knot on a Neumann
-    row, the value everywhere else. Two forms: a block, ``rows`` the count m
-    of leading knots and ``cols`` a slice of the knots, gives the (m, n)
-    block; gathered pairs, ``rows`` and ``cols`` (p,) index arrays with
-    ``rows`` ascending, give p entries. Knots run Dirichlet, Neumann,
-    interior, so either way the Neumann rows are one run along axis 0."""
+    row, the value everywhere else. Two forms: a block, ``rows`` a slice of
+    the knots (a row range) and ``cols`` a slice, gives the (m, n) block;
+    gathered pairs, ``rows`` and ``cols`` (p,) index arrays with ``rows``
+    ascending, give p entries. Knots run Dirichlet, Neumann, interior, so
+    either way the Neumann rows are one run along axis 0."""
     value, normal_derivative = radial
     nd, nb = knots.dirichlet_count, knots.n_boundary
-    if isinstance(rows, int):   # a block: (m, 1, d) row knots against (n, d) columns
-        r = knots.distances[:rows, cols]
-        lo, hi = min(nd, rows), min(nb, rows)
-        i, j = np.s_[lo:hi, None], cols
-    else:                       # gathered pairs: (p, d) against (p, d)
-        r = knots.distances[rows, cols]
+    r = knots.distances[rows, cols]
+    if isinstance(rows, slice):   # a block: (m, 1, d) row knots against (n, d) columns
+        start, stop, _ = rows.indices(knots.size)
+        lo, hi = (min(max(x, start), stop) - start for x in (nd, nb))
+        i, j = np.s_[start + lo:start + hi, None], cols
+    else:                         # gathered pairs: (p, d) against (p, d)
         lo, hi = rows.searchsorted((nd, nb)).tolist()
         i, j = rows[lo:hi], cols[lo:hi]
     if lo == hi:
@@ -191,7 +197,8 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
     """
     nb = knots.n_boundary
     return _boundary_operator((gs.value, gs.normal_derivative), knots,
-                              nb if boundary_only else knots.size, np.s_[:nb])
+                              np.s_[:nb if boundary_only else knots.size],
+                              np.s_[:nb])
 
 
 def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
@@ -220,11 +227,29 @@ def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
 
 def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
-    knots of ``fit``, whose distances it reuses."""
+    knots of ``fit``, whose distances it reuses.
+
+    ``rows @ alpha`` is taken over row slices, so no N x N block is formed,
+    with the bits of one product over the whole block. OpenBLAS multiplies
+    a matrix by a vector in groups of 4 rows and takes the rows left over
+    with kernels that sum in another order, and numpy sends a single row to
+    a dot product. So a slice is a multiple of 4 rows, as many as fit in
+    :data:`_RHS_SLICE` entries with one row to spare (4 at least), and a
+    last single row joins the slice before it: each row meets the kernel
+    it meets in the one product. A slice is too small for OpenBLAS to
+    split across threads, so the bits are those of the one product on one
+    thread, whatever the thread count.
+    """
     knots, kernel = fit.knots, fit.kernel
-    rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots,
-                              knots.n_boundary, np.s_[:])
-    return data - rows @ fit.alpha
+    nb, n = knots.n_boundary, knots.size
+    step = max(1, (_RHS_SLICE // n - 1) // 4) * 4
+    edges = [*range(0, max(nb - 1, 1), step), nb]
+    out = np.empty(nb)
+    for a, b in zip(edges, edges[1:]):
+        rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots,
+                                  np.s_[a:b], np.s_[:])
+        np.matmul(rows, fit.alpha, out=out[a:b])
+    return np.subtract(data, out, out=out)
 
 
 def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,

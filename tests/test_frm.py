@@ -149,9 +149,9 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
     selections, systems = [], []
     select = bkm.geometry._nearest_neighbours
 
-    def counted_select(dists, k):
+    def counted_select(positions, dists, k):
         selections.append(k)
-        return select(dists, k)
+        return select(positions, dists, k)
 
     def recorded_truncate(*args):
         systems.append(truncate_system(*args))

@@ -231,6 +231,71 @@ def test_neighbours_pattern_is_kept_and_read_only():
             ks.neighbours(bad)
 
 
+def _knots_at(points):
+    """Every point a boundary knot, each with the first unit vector as normal."""
+    return KnotSet(points, np.eye(points.shape[1])[np.zeros(len(points), int)])
+
+
+def _square_lattice(side=12):
+    """side x side unit lattice: exact ties at nearly every distance."""
+    axis = np.arange(float(side))
+    return _knots_at(np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2))
+
+
+def _sphere_set(n=120):
+    points = oracles.fibonacci_sphere(n)
+    return KnotSet(points, points)
+
+
+def assert_neighbours_are_brute_force(ks, counts):
+    # the reference: each row's first k columns of a stable argsort of its
+    # full distance row, ascending
+    order = np.argsort(ks.distances, axis=1, kind="stable")
+    for k in counts:
+        indices, indptr = ks.neighbours(k)
+        np.testing.assert_array_equal(indptr, np.arange(0, ks.size * k + 1, k))
+        expected = np.sort(order[:, :k], axis=1).ravel()
+        assert np.array_equal(indices, expected), f"k = {k} of {ks.size}"
+
+
+@pytest.mark.parametrize("make_knots", [
+    *(lambda n=n: ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), n)
+      for n in (7, 8, 9, 64, 200)),
+    _square_lattice, _sphere_set],
+    ids=["ellipse7", "ellipse8", "ellipse9", "ellipse64", "ellipse200",
+         "lattice", "sphere"])
+def test_neighbours_are_the_brute_force_pattern_for_every_k(make_knots):
+    # ellipse knots are mirror-symmetric, so their rows hold near-ties that
+    # a k-d tree and the stored distances may order apart
+    ks = make_knots()
+    assert_neighbours_are_brute_force(ks, range(1, ks.size + 1))
+
+
+def test_neighbours_are_the_brute_force_pattern_at_a_thousand_knots():
+    # every k at N = 1000 takes about a minute and a half, so the solver's
+    # small k and a stride up to N
+    ks = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 1000)
+    assert_neighbours_are_brute_force(ks, [*range(1, 33), *range(33, 1000, 161), 999, 1000])
+
+
+@st.composite
+def lattice_points(draw):
+    """Distinct points on a lattice of a drawn spacing, 2-d or 3-d: exact
+    ties, and near-ties where differences of coordinates round apart."""
+    dim = draw(st.sampled_from([2, 3]))
+    cells = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                          min_size=1, max_size=40, unique=True))
+    spacing = draw(st.sampled_from([1.0, 0.3, 7.1, 1e-3]))
+    offset = draw(st.sampled_from([0.0, 0.1, 1e3]))
+    return np.array(cells, dtype=float) * spacing + offset
+
+
+@given(lattice_points())
+def test_neighbours_are_the_brute_force_pattern_on_lattice_points(points):
+    ks = _knots_at(points)
+    assert_neighbours_are_brute_force(ks, range(1, ks.size + 1))
+
+
 @pytest.mark.parametrize("bad", [7.9, 3.7, 2.5, np.nan, np.inf])
 def test_every_count_must_be_a_whole_number(bad):
     e = Ellipse(np.zeros(2), 2.0, 1.0)

@@ -134,15 +134,58 @@ def test_boundary_operator_block_and_gathered_pairs_agree():
     gs = GeneralSolution(2)
     radial = (gs.value, gs.normal_derivative)
     nb = ks.n_boundary
-    block = solver._boundary_operator(radial, ks, ks.size, np.s_[:nb])
+    block = solver._boundary_operator(radial, ks, np.s_[:ks.size], np.s_[:nb])
     assert block.shape == (ks.size, nb)
     rows, cols = np.divmod(np.arange(ks.size * nb), nb)
     gathered = solver._boundary_operator(radial, ks, rows, cols)
     assert gathered.tobytes() == block.ravel().tobytes()
-    # a block of the leading rows is the leading rows of the whole block
-    for m in (3, 5, 9, nb):
-        part = solver._boundary_operator(radial, ks, m, np.s_[:nb])
-        assert part.tobytes() == block[:m].tobytes()
+    # a block of a row range is those rows of the whole block, with the
+    # range starting and ending before, inside and after the Neumann run
+    for a, b in ((0, 3), (0, 5), (0, 9), (0, nb), (2, 7), (6, 10), (9, 16)):
+        part = solver._boundary_operator(radial, ks, np.s_[a:b], np.s_[:nb])
+        assert part.tobytes() == block[a:b].tobytes()
+
+
+def _mixed_ellipse_knots(nb):
+    # Dirichlet, a Neumann run from knot 5 to the last boundary knot, then
+    # interior knots, which are columns only
+    return ellipse_knots(ELL_WIDE, nb).with_dirichlet_count(5).with_interior(
+        ELL_WIDE.interior_samples(7, seed=nb, shrink=0.8))
+
+
+def _mixed_sphere_knots(nb):
+    pos = fibonacci_sphere(nb)
+    return KnotSet(pos, pos, dirichlet_count=9, interior=fibonacci_sphere(6, 0.5))
+
+
+@pytest.mark.parametrize("make_knots", [_mixed_ellipse_knots, _mixed_sphere_knots],
+                         ids=["ellipse", "sphere"])
+@pytest.mark.parametrize("nb", [29, 30, 31, 32, 45])
+@pytest.mark.parametrize("step", [4, 8, 12])
+def test_boundary_rhs_in_slices_is_the_one_block_product(make_knots, nb, step,
+                                                         monkeypatch):
+    # slices of step rows, with edges inside the Neumann run and a last
+    # slice of 1 row (joined to the slice before), 2, 3, 4 or more, must
+    # give the bits of one product over the whole u_p block
+    ks, kernel = make_knots(nb), mq_pair(2.5)
+    monkeypatch.setattr(solver, "_RHS_SLICE", (step + 1) * ks.size)
+    rng = np.random.default_rng(nb)
+    fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=kernel, knots=ks)
+    data = rng.standard_normal(nb)
+    radial = (kernel.phi_hat, kernel.phi_hat_normal)
+    block = solver._boundary_operator(radial, ks, np.s_[:nb], np.s_[:])
+    expected = data - block @ fit.alpha
+    assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
+
+
+def test_boundary_rhs_holds_no_knot_by_knot_block():
+    # the whole 1000 x 1000 u_p block would take 8 MB; one slice takes
+    # at most _RHS_SLICE entries
+    ks = ellipse_knots(ELL_WIDE, 1000)
+    rng = np.random.default_rng(5)
+    fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=mq_pair(3.0), knots=ks)
+    data = rng.standard_normal(ks.n_boundary)
+    assert allocation_peak(lambda: solver._boundary_rhs(data, fit)) < 2**20
 
 
 # ---------------------------------------------------------------------------

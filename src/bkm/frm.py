@@ -59,13 +59,14 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int,
     entries are bit-identical to the dense ones and every row keeps exactly
     k of them, zeros included (nnz = N k).
 
-    Cost/memory: the entries and the CSR matrix are O(N k). The pattern is
-    a k-d tree query plus one comparison pass over :attr:`KnotSet.distances`
-    per knot set and k, kept on the knot set, so both systems of a solve
-    share it. A dense ``matrix`` brings its own N^2 entries. In a truncated
-    solve the N x N arrays are the distance matrix and that pass's boolean
-    mask; the solver takes ``u_p`` at the knots, which is global, as a
-    product over row slices.
+    Cost/memory: the entries and the CSR matrix are O(N k). The pattern
+    comes from k-d tree queries alone, O(N log N) expected time and O(N k)
+    memory per knot set and k, and is kept on the knot set, so both systems
+    of a solve share it. A dense ``matrix`` brings its own N^2 entries. A
+    truncated solve holds no N x N array: a set of more than 181 knots
+    forms its distance matrix only when a dense stage reads it, the solver
+    takes the kept pairs' distances from the positions, and it takes
+    ``u_p`` at the knots, which is global, as a product over row slices.
     """
     n, k = knots.size, _checked_count(k, "neighbour count", 1, knots.size)
     if callable(matrix):

@@ -26,6 +26,13 @@ BOUNDARY_TOL = 1e-12
 #: Normals must have unit length within this tolerance.
 UNIT_TOL = 1e-12
 
+#: The block budget in entries, 256 KB of float64. A knot set of at most 181
+#: knots, whose whole distance matrix fits, forms it at construction; a
+#: larger set forms it only when it is read. The solver takes u_p at the
+#: knots over row slices that fit. So a truncated solve forms no distance
+#: or kernel block larger than this.
+_BLOCK_ENTRIES = 32768
+
 
 def as_point(x) -> np.ndarray:
     """Validate and return a point as a 1-d float array of dimension 2 or 3."""
@@ -149,18 +156,24 @@ class KnotSet:
             _checked_count(dirichlet_count, "dirichlet_count", 0, bp.shape[0])
 
         allp = np.concatenate((bp, ip))
-        dists = pairwise_distances(allp, allp)
-        _check_pairwise_distinct(dists)
-
-        for arr in (bp, bn, ip, allp, dists):
+        for arr in (bp, bn, ip, allp):
             arr.setflags(write=False)
         self._boundary_positions = bp
         self._boundary_normals = bn
         self._interior = ip
         self._all = allp
-        self._distances = dists
         self._dirichlet_count = dc
-        self._neighbours = {}      # k -> (indices, indptr), see neighbours()
+        # what is derived from the positions alone, formed once and shared
+        # with with_dirichlet_count twins: "distances", "tree" (the k-d
+        # tree) and k -> neighbours(k)
+        self._kept = {}
+        if allp.shape[0] ** 2 <= _BLOCK_ENTRIES:
+            dists = pairwise_distances(allp, allp)
+            _check_pairwise_distinct(dists)
+            dists.setflags(write=False)
+            self._kept["distances"] = dists
+        else:
+            _check_distinct_by_tree(allp, self._tree())
 
     @property
     def boundary_positions(self) -> np.ndarray:
@@ -181,28 +194,56 @@ class KnotSet:
 
     @property
     def distances(self) -> np.ndarray:
-        """Read-only knot-to-knot distances over :attr:`all_positions`, (N+L, N+L)."""
-        return self._distances
+        """Read-only knot-to-knot distances over :attr:`all_positions`,
+        (N+L, N+L), from :func:`pairwise_distances`.
+
+        A set of at most 181 knots forms them at construction, where they
+        refuse coincident knots. A larger set forms them on first read, and
+        a truncated solve never reads them. Either way they are kept, and a
+        :meth:`with_dirichlet_count` twin shares them.
+        """
+        dists = self._kept.get("distances")
+        if dists is None:
+            dists = self._kept["distances"] = pairwise_distances(self._all, self._all)
+            dists.setflags(write=False)
+        return dists
+
+    def distances_at(self, rows, cols) -> np.ndarray:
+        """``distances[rows, cols]``, with the same bits, for two slices (a
+        block) or two (p,) index arrays (p gathered pairs). A set that does
+        not hold its distance matrix computes just these entries, with the
+        arithmetic of :func:`pairwise_distances`, which computes each entry
+        on its own, and does not form the matrix."""
+        dists = self._kept.get("distances")
+        if dists is not None:
+            return dists[rows, cols]
+        if isinstance(rows, slice):
+            return pairwise_distances(self._all[rows], self._all[cols])
+        return _row_norms(self._all[rows] - self._all[cols])
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each knot's k nearest knots (self included) as a read-only CSR
         pattern ``(indices, indptr)``: row i keeps the columns
         ``indices[indptr[i]:indptr[i + 1]]``, ascending, exactly k of them.
 
-        Distances are :attr:`distances`; ties at the k-th distance break
-        towards the lower knot index, as a stable sort of each row would.
-        The pattern is computed once per k and kept: a k-d tree query for k
-        candidates per knot (O(N log N) expected), one comparison pass over
-        the distance matrix, and a short stable sort for each row with a tie
-        at its k-th distance. The one N x N temporary is that pass's
-        boolean mask.
+        Distances are those of :attr:`distances`; ties at the k-th distance
+        break towards the lower knot index, as a stable sort of each row
+        would. The pattern is computed once per k and kept, from the k-d
+        tree alone (see :func:`_nearest_neighbours`), in O(N log N) expected
+        time and O(N k) memory: no distance matrix is read or formed.
         """
         k = _checked_count(k, "neighbour count", 1, self.size)
-        pattern = self._neighbours.get(k)
+        pattern = self._kept.get(k)
         if pattern is None:
-            pattern = self._neighbours[k] = _nearest_neighbours(
-                self._all, self._distances, k)
+            pattern = self._kept[k] = _nearest_neighbours(self._all, self._tree(), k)
         return pattern
+
+    def _tree(self) -> cKDTree:
+        """The k-d tree of :attr:`all_positions`, built once and kept."""
+        tree = self._kept.get("tree")
+        if tree is None:
+            tree = self._kept["tree"] = cKDTree(self._all)
+        return tree
 
     @property
     def dirichlet_count(self) -> int:
@@ -236,8 +277,9 @@ class KnotSet:
     def with_dirichlet_count(self, count: int) -> "KnotSet":
         """Copy of this set with a different Dirichlet/Neumann partition.
 
-        No knot moves, so the copy shares this set's frozen arrays, distance
-        matrix and neighbour patterns, and needs no coincidence check.
+        No knot moves, so the copy shares this set's frozen arrays, k-d tree,
+        distance matrix and neighbour patterns, whenever either set forms
+        them, and needs no coincidence check.
         """
         twin = copy.copy(self)
         twin._dirichlet_count = _checked_count(count, "dirichlet_count", 0, self.n_boundary)
@@ -278,25 +320,31 @@ def _normal_projections(points, normals, sources, r):
     return np.divide(dots, r, out=proj, where=r > COINCIDENT_TOL)
 
 
-def _nearest_neighbours(positions: np.ndarray, dists: np.ndarray, k: int):
-    """CSR ``(indices, indptr)`` of each row's k smallest ``dists``, ties to
-    the lower column index; see :meth:`KnotSet.neighbours`.
+def _nearest_neighbours(positions: np.ndarray, tree: cKDTree, k: int):
+    """CSR ``(indices, indptr)`` of each point's k nearest points by exact
+    distance (the bits of :func:`pairwise_distances`), ties to the lower
+    index; see :meth:`KnotSet.neighbours`.
 
-    A k-d tree gives each point k distinct candidates. The largest stored
-    distance over any k entries of a row is at least the row's true k-th
-    smallest, so ``dists <= kth`` holds every true neighbour. A row with
-    exactly k such entries has found them; a row with more (a tie, or a
-    tree distance that rounds apart from the stored one) takes the first k
-    of a stable sort of them, in index order, which is the stable sort of
-    the whole row. The rule is exact, with no tolerance.
+    The tree gives each point k + 1 candidates. Any k points lie at an
+    exact distance of at least the true k-th smallest, so ``kth``, the
+    largest exact distance among the first k, bounds every true neighbour.
+    The tree's distances round apart from the exact ones by far less than a
+    relative 1e-12, so a row whose (k+1)-th candidate lies beyond ``kth`` by
+    that margin has no other point within ``kth``: its first k candidates
+    are its neighbours. Any other row (a tie, or a near-tie) takes the first
+    k of a stable sort, by exact distance, of the points the tree finds
+    within ``kth`` plus the margin, in index order, which is the stable
+    sort of the whole row.
     """
-    n = len(dists)
-    cand = np.reshape(cKDTree(positions).query(positions, k)[1], (n, k))
-    kth = np.take_along_axis(dists, cand, axis=1).max(axis=1, keepdims=True)
-    indices = np.sort(cand, axis=1)
-    for i in np.flatnonzero(np.count_nonzero(dists <= kth, axis=1) > k):
-        tied = np.flatnonzero(dists[i] <= kth[i])
-        indices[i] = np.sort(tied[np.argsort(dists[i, tied], kind="stable")[:k]])
+    far, cand = tree.query(positions, k + 1)   # k = n: the last column is inf
+    first = cand[:, :k]
+    exact = _row_norms(positions[first] - positions[:, None])
+    kth = exact.max(axis=1) * (1.0 + 1e-12)
+    indices = np.sort(first, axis=1)
+    for i in np.flatnonzero(far[:, k] <= kth):
+        ball = np.sort(tree.query_ball_point(positions[i], kth[i]))
+        dists = _row_norms(positions[ball] - positions[i])
+        indices[i] = np.sort(ball[np.argsort(dists, kind="stable")[:k]])
     indices = indices.ravel()
     indptr = np.arange(0, indices.size + 1, k)
     for arr in (indices, indptr):
@@ -319,11 +367,16 @@ def _checked_count(value, name: str, lo: int, hi=np.inf) -> int:
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=1)``, the same arithmetic without its dispatch."""
-    return np.sqrt(np.square(v).sum(axis=1))
+    """Euclidean norms along the last axis: the squares summed in coordinate
+    order, then one square root. That is ``np.linalg.norm(v, axis=-1)``
+    without its dispatch, and, for a difference of two points, the bits of
+    :func:`pairwise_distances`."""
+    return np.sqrt(np.square(v).sum(axis=-1))
 
 
 def _check_pairwise_distinct(dists: np.ndarray):
+    """Refuse the closest pair, first in row-major order, of a distance
+    matrix if it lies within :data:`COINCIDENT_TOL`."""
     # mask the self-distances in place, then restore their exact zeros
     flat = dists.reshape(-1)
     diagonal = flat[::dists.shape[0] + 1]
@@ -332,9 +385,25 @@ def _check_pairwise_distinct(dists: np.ndarray):
     nearest = flat[k]
     diagonal.fill(0.0)
     if nearest <= COINCIDENT_TOL:
-        i, j = divmod(int(k), dists.shape[0])
-        raise DegenerateGeometryError(
-            f"knots {i} and {j} coincide (distance {nearest:.3e})")
+        _refuse_coincident(*divmod(int(k), dists.shape[0]), nearest)
+
+
+def _check_distinct_by_tree(positions: np.ndarray, tree: cKDTree):
+    """:func:`_check_pairwise_distinct` without the matrix: the tree's pairs
+    within twice :data:`COINCIDENT_TOL` hold every pair within it, however
+    the tree rounds. Their exact distances pick the same pair, the lowest
+    (i, j) of the closest, which is the matrix's first in row-major order."""
+    pairs = tree.query_pairs(2 * COINCIDENT_TOL, output_type="ndarray")
+    if len(pairs):
+        dists = _row_norms(positions[pairs[:, 0]] - positions[pairs[:, 1]])
+        first = np.lexsort((pairs[:, 1], pairs[:, 0], dists))[0]
+        if dists[first] <= COINCIDENT_TOL:
+            _refuse_coincident(*pairs[first], dists[first])
+
+
+def _refuse_coincident(i, j, distance):
+    raise DegenerateGeometryError(
+        f"knots {i} and {j} coincide (distance {distance:.3e})")
 
 
 def ellipse_knots(e: Ellipse, n: int) -> KnotSet:

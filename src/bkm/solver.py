@@ -32,6 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import geometry
 from ._linalg import FactoredMatrix, SolveRecord
 from .drm import DrmFit, _points_array, build_interpolation_matrix
 from .frm import solve_sparse, truncate_system
@@ -148,12 +149,6 @@ class BkmSolution:
 # Assembly
 # ---------------------------------------------------------------------------
 
-#: Entries in one row slice of the u_p block in :func:`_boundary_rhs`:
-#: 256 KB of float64, so a ``paper`` or ``wide`` block (at most 32 x 144)
-#: is one slice.
-_RHS_SLICE = 32768
-
-
 def _boundary_operator(radial, knots: KnotSet, rows, cols):
     """The boundary operator on a radial kernel ``(value, normal_derivative)``
     at knot distances: the normal derivative at the row knot on a Neumann
@@ -164,7 +159,7 @@ def _boundary_operator(radial, knots: KnotSet, rows, cols):
     either way the Neumann rows are one run along axis 0."""
     value, normal_derivative = radial
     nd, nb = knots.dirichlet_count, knots.n_boundary
-    r = knots.distances[rows, cols]
+    r = knots.distances_at(rows, cols)
     if isinstance(rows, slice):   # a block: (m, 1, d) row knots against (n, d) columns
         start, stop, _ = rows.indices(knots.size)
         lo, hi = (min(max(x, start), stop) - start for x in (nd, nb))
@@ -227,22 +222,25 @@ def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
 
 def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
-    knots of ``fit``, whose distances it reuses.
+    knots of ``fit``. The row slices read the knots' distance matrix when
+    the set holds one, and otherwise compute their own distances, with the
+    same bits (:meth:`KnotSet.distances_at`).
 
     ``rows @ alpha`` is taken over row slices, so no N x N block is formed,
     with the bits of one product over the whole block. OpenBLAS multiplies
     a matrix by a vector in groups of 4 rows and takes the rows left over
     with kernels that sum in another order, and numpy sends a single row to
     a dot product. So a slice is a multiple of 4 rows, as many as fit in
-    :data:`_RHS_SLICE` entries with one row to spare (4 at least), and a
-    last single row joins the slice before it: each row meets the kernel
-    it meets in the one product. A slice is too small for OpenBLAS to
+    :data:`bkm.geometry._BLOCK_ENTRIES` entries with one row to spare (4 at
+    least), and a last single row joins the slice before it: each row meets
+    the kernel it meets in the one product. A ``paper`` or ``wide`` block
+    (at most 32 x 144) is one slice. A slice is too small for OpenBLAS to
     split across threads, so the bits are those of the one product on one
     thread, whatever the thread count.
     """
     knots, kernel = fit.knots, fit.kernel
     nb, n = knots.n_boundary, knots.size
-    step = max(1, (_RHS_SLICE // n - 1) // 4) * 4
+    step = max(1, (geometry._BLOCK_ENTRIES // n - 1) // 4) * 4
     edges = [*range(0, max(nb - 1, 1), step), nb]
     out = np.empty(nb)
     for a, b in zip(edges, edges[1:]):
@@ -259,9 +257,10 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     Returns ``(rhs, rhs_u, u_interp)``: the fit's right-hand side is
     ``rhs + rhs_u @ u_int``. ``rhs`` is the forcing at every knot, plus a
     boundary-nonlinear rest evaluated on the boundary ``data`` (all
-    Dirichlet whenever there is a rest), or a linear rest applied to it. A linear rest also contributes ``rhs_u``, one column
-    per interior knot (None without them), and ``u_interp``, the factored
-    phi_hat matrix the rest's images are mapped through (None otherwise).
+    Dirichlet whenever there is a rest), or a linear rest applied to it. A
+    linear rest also contributes ``rhs_u``, one column per interior knot
+    (None without them), and ``u_interp``, the factored phi_hat matrix the
+    rest's images are mapped through (None otherwise).
     """
     rhs = _read_data("forcing", problem.forcing, knots.all_positions)
     if isinstance(problem.rho, RhoZero):
@@ -313,7 +312,7 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel, data)
     alpha, fit_lu = _solve_stage(
         lambda: build_interpolation_matrix(knots, kernel),
-        lambda i, j: kernel.phi(knots.distances[i, j], dimension=knots.dimension),
+        lambda i, j: kernel.phi(knots.distances_at(i, j), dimension=knots.dimension),
         rhs, knots, frm_k, "particular-fit")
     fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
     rhs_h = _boundary_rhs(data, fit)

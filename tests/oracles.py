@@ -8,13 +8,19 @@ linear solves from 40-digit LU. The
 reference kernels at the end are the plain whole-array expressions of the
 kernel blocks, one temporary per operation, which the library's in-place
 evaluation must match bit for bit; a bitwise comparison and an allocation
-peak serve the tests that check this.
+peak serve the tests that check this, and a switch that puts every knot set
+on one side of the distance-matrix cut serves the tests that compare the
+two sides.
 """
+import contextlib
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
+import pytest
 from scipy import special
+
+import bkm.geometry
 
 mp.mp.dps = 40
 
@@ -179,6 +185,22 @@ def allocation_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+#: Block budgets that put every knot set on one side of the cut: "matrix"
+#: forms the distance matrix at construction and refuses coincident knots
+#: by its argmin; "tree" refuses them with a k-d tree and forms the matrix
+#: only when it is read. The budget also sizes the solver's u_p row slices:
+#: one slice on "matrix", 4 rows each on "tree".
+KNOT_PATHS = {"matrix": 2**62, "tree": 0}
+
+
+@contextlib.contextmanager
+def every_knot_set_on(path):
+    """Knot sets built inside take the ``path`` side of the cut."""
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(bkm.geometry, "_BLOCK_ENTRIES", KNOT_PATHS[path])
+        yield
 
 
 # ---------------------------------------------------------------------------

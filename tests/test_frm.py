@@ -17,7 +17,7 @@ from bkm.frm import SparseSystem, solve_sparse, truncate_system
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots
 from bkm.kernels import GeneralSolution, mq_pair
 from bkm.solver import ProblemSpec, assemble_homogeneous_rows, solve_linear
-from oracles import fibonacci_sphere
+from oracles import allocation_peak, fibonacci_sphere
 
 ELL = Ellipse(np.zeros(2), 2.0, 1.0)
 
@@ -149,9 +149,9 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
     selections, systems = [], []
     select = bkm.geometry._nearest_neighbours
 
-    def counted_select(positions, dists, k):
+    def counted_select(positions, tree, k):
         selections.append(k)
-        return select(positions, dists, k)
+        return select(positions, tree, k)
 
     def recorded_truncate(*args):
         systems.append(truncate_system(*args))
@@ -230,6 +230,16 @@ def test_sparsity_bound():
         assert sparse.matrix.nnz <= k * 20
         per_row = np.diff(sparse.matrix.indptr)
         assert np.all(per_row <= k)
+
+
+def test_truncated_solve_holds_no_knot_by_knot_array():
+    # placing 2000 knots and a k = 8 solve: the 2000 x 2000 distance matrix
+    # alone would take 32 MB
+    problem = ProblemSpec(forcing=lambda p: p[:, 0],
+                          dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0])
+    peak = allocation_peak(
+        lambda: solve_linear(problem, ellipse_knots(ELL, 2000), mq_pair(3.0), frm_k=8))
+    assert peak < 4e6
 
 
 def test_pattern_generally_asymmetric():

@@ -6,6 +6,7 @@ import oracles
 from bkm.errors import DegenerateGeometryError
 from bkm.geometry import (COINCIDENT_TOL, Ellipse, KnotSet, _normal_projections,
                           ellipse_knots, pairwise_distances)
+from oracles import KNOT_PATHS, every_knot_set_on
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
                   allow_nan=False, allow_infinity=False)
@@ -190,6 +191,61 @@ def test_knotset_rejects_coincident_interior():
         ks.with_interior(np.array([[0.3, 0.2], [0.3, 0.2]]))
 
 
+def _repeat(points, i):
+    """``points`` with point i repeated at the end."""
+    return np.concatenate((points, points[i:i + 1]))
+
+
+def _ellipse_knot_0_repeated(n):
+    """n knots on the `wide` ellipse, then knot 0 again as knot n."""
+    ks = ellipse_knots(Ellipse(np.zeros(2), 10.0, 5.0), n)
+    return KnotSet(_repeat(ks.boundary_positions, 0), _repeat(ks.boundary_normals, 0))
+
+
+def _reversed_repeats():
+    """300 scattered points, then every 7th of them from the last backwards."""
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (300, 2))
+    return np.concatenate((points, points[::-7]))
+
+
+def _refusal(make_knots, path):
+    with every_knot_set_on(path), pytest.raises(DegenerateGeometryError) as refused:
+        make_knots()
+    return str(refused.value)
+
+
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("make_knots, message", [
+    (lambda: _knots_at(_repeat(_SQUARE, 2)),
+     "knots 2 and 4 coincide (distance 0.000e+00)"),
+    (lambda: _knots_at(np.concatenate((_SQUARE, [[4e-13, 0.0]]))),
+     "knots 0 and 4 coincide (distance 4.000e-13)"),
+    # two exact repeats: the lower (i, j) is refused, not the one found first
+    (lambda: _knots_at(_repeat(_repeat(_SQUARE, 3), 1)),
+     "knots 1 and 5 coincide (distance 0.000e+00)"),
+    # 43 exact repeats, which the tree finds in no particular order
+    (lambda: _knots_at(_reversed_repeats()),
+     "knots 5 and 342 coincide (distance 0.000e+00)"),
+    # the closest pair is refused, not the lowest pair within the tolerance
+    (lambda: _knots_at(np.concatenate((_SQUARE, [[0.0, 9e-13], [1.0, 1.0]]))),
+     "knots 2 and 5 coincide (distance 0.000e+00)"),
+    (lambda: _sphere_set().with_interior(_repeat(oracles.fibonacci_sphere(5, 0.5), 3)),
+     "knots 123 and 125 coincide (distance 0.000e+00)"),
+    (lambda: _knots_at(_repeat(oracles.fibonacci_sphere(200), 17)),
+     "knots 17 and 200 coincide (distance 0.000e+00)"),
+    (lambda: _ellipse_knot_0_repeated(999),
+     "knots 0 and 999 coincide (distance 0.000e+00)"),
+], ids=["duplicate", "within-tolerance", "two-duplicates", "many-duplicates",
+        "closest-first", "sphere-interior", "sphere", "ellipse1000"])
+def test_both_paths_refuse_coincident_knots_with_one_message(make_knots, message):
+    # the k-d tree path names the pair the distance matrix's argmin names,
+    # with the same distance, character for character
+    assert _refusal(make_knots, "matrix") == message
+    assert _refusal(make_knots, "tree") == message
+
+
 def test_knotset_ordering_and_partition():
     ks = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 6)
     ks = ks.with_interior(np.array([[0.1, 0.2], [-0.3, 0.1]]))
@@ -204,14 +260,18 @@ def test_knotset_ordering_and_partition():
 
 
 def test_with_dirichlet_count_shares_arrays_and_checks_range():
-    base = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 6) \
-        .with_interior(np.array([[0.1, 0.2]]))
-    mixed = base.with_dirichlet_count(4)
-    assert (mixed.dirichlet_count, base.dirichlet_count) == (4, 6)
-    for name in ("distances", "all_positions", "boundary_positions",
-                 "boundary_normals", "interior"):
-        assert getattr(mixed, name) is getattr(base, name)
-    assert mixed.neighbours(3) is base.neighbours(3)
+    for path in KNOT_PATHS:
+        with every_knot_set_on(path):
+            base = ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 6) \
+                .with_interior(np.array([[0.1, 0.2]]))
+        mixed = base.with_dirichlet_count(4)
+        assert (mixed.dirichlet_count, base.dirichlet_count) == (4, 6)
+        # the twin is made before either set reads its distances: on the
+        # tree path the matrix the twin forms is the base's too
+        for name in ("distances", "all_positions", "boundary_positions",
+                     "boundary_normals", "interior"):
+            assert getattr(mixed, name) is getattr(base, name)
+        assert mixed.neighbours(3) is base.neighbours(3)
     for bad in (-1, 7):      # 7 = knot count, one past the boundary knots
         with pytest.raises(ValueError, match="dirichlet_count out of range"):
             base.with_dirichlet_count(bad)
@@ -266,9 +326,11 @@ def assert_neighbours_are_brute_force(ks, counts):
          "lattice", "sphere"])
 def test_neighbours_are_the_brute_force_pattern_for_every_k(make_knots):
     # ellipse knots are mirror-symmetric, so their rows hold near-ties that
-    # a k-d tree and the stored distances may order apart
-    ks = make_knots()
-    assert_neighbours_are_brute_force(ks, range(1, ks.size + 1))
+    # a k-d tree and the exact distances may order apart
+    for path in KNOT_PATHS:
+        with every_knot_set_on(path):
+            ks = make_knots()
+        assert_neighbours_are_brute_force(ks, range(1, ks.size + 1))
 
 
 def test_neighbours_are_the_brute_force_pattern_at_a_thousand_knots():
@@ -290,9 +352,10 @@ def lattice_points(draw):
     return np.array(cells, dtype=float) * spacing + offset
 
 
-@given(lattice_points())
-def test_neighbours_are_the_brute_force_pattern_on_lattice_points(points):
-    ks = _knots_at(points)
+@given(lattice_points(), st.sampled_from(list(KNOT_PATHS)))
+def test_neighbours_are_the_brute_force_pattern_on_lattice_points(points, path):
+    with every_knot_set_on(path):
+        ks = _knots_at(points)
     assert_neighbours_are_brute_force(ks, range(1, ks.size + 1))
 
 
@@ -372,10 +435,15 @@ def test_pairwise_distances_dimension_mismatch():
 
 
 def test_knotset_distances_read_only_and_exact():
-    base = ellipse_knots(Ellipse(np.array([0.5, -1.0]), 3.0, 1.5), 9)
-    variants = [base, base.with_interior(np.array([[0.1, -0.9], [1.2, -1.3]])),
-                base.with_dirichlet_count(4),
-                base.with_interior(np.array([[0.4, -0.6]])).with_dirichlet_count(2)]
+    # both paths give the bits of one pairwise_distances block
+    variants = []
+    for path in KNOT_PATHS:
+        with every_knot_set_on(path):
+            base = ellipse_knots(Ellipse(np.array([0.5, -1.0]), 3.0, 1.5), 9)
+            variants += [base, base.with_interior(np.array([[0.1, -0.9], [1.2, -1.3]])),
+                         base.with_dirichlet_count(4),
+                         base.with_interior(np.array([[0.4, -0.6]])).with_dirichlet_count(2),
+                         _knots_at(oracles.fibonacci_sphere(30) * 1e3 + 7.0)]
     for ks in variants:
         d = ks.distances
         assert d.shape == (ks.size, ks.size)
@@ -386,9 +454,33 @@ def test_knotset_distances_read_only_and_exact():
         assert np.all(diag == 0.0) and not np.any(np.signbit(diag))
         full = pairwise_distances(ks.all_positions, ks.all_positions)
         assert d.tobytes() == full.tobytes()
-    # exactly symmetric, which the DRM right-hand side relies on
+    # exactly symmetric, which the DRM right-hand side relies on; 1000
+    # knots form the matrix when it is read
     d = ellipse_knots(Ellipse(np.zeros(2), 10.0, 5.0), 1000).distances
     assert d.tobytes() == d.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("path", KNOT_PATHS)
+@pytest.mark.parametrize("make_knots", [
+    lambda: ellipse_knots(Ellipse(np.array([0.5, -1.0]), 3.0, 1.5), 40)
+    .with_interior(np.array([[0.1, -0.9], [1.2, -1.3], [0.4, -0.6]])),
+    lambda: _knots_at(oracles.fibonacci_sphere(50) * 1e3 + 7.0)],
+    ids=["ellipse", "sphere"])
+def test_distances_at_blocks_and_pairs_are_the_matrix_entries(make_knots, path):
+    # read before the matrix is formed on the tree path, so there each
+    # block and pair is computed on its own
+    with every_knot_set_on(path):
+        ks = make_knots()
+    n = ks.size
+    blocks = [np.s_[:n], np.s_[:n]], [np.s_[3:17], np.s_[:]], [np.s_[:40], np.s_[:40]], \
+        [np.s_[40:], np.s_[5:9]]
+    rows, cols = np.divmod(np.arange(n * n), n)
+    picked = np.random.default_rng(n).permutation(n * n)[:200]
+    pairs = [rows, cols], [np.sort(rows[picked]), cols[picked]]
+    got = [ks.distances_at(*where) for where in (*blocks, *pairs)]
+    full = pairwise_distances(ks.all_positions, ks.all_positions)
+    for where, entries in zip((*blocks, *pairs), got):
+        assert entries.tobytes() == full[tuple(where)].tobytes()
 
 
 def test_knotset_immutable_arrays():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkm import _linalg, kernels, solver
+from bkm import _linalg, geometry, kernels, solver
 from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
 from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
@@ -16,7 +16,8 @@ from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
                         assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
                         solve_nonlinear_boundary_only)
-from oracles import allocation_peak, fd_laplacian, fibonacci_sphere
+from oracles import (KNOT_PATHS, allocation_peak, every_knot_set_on, fd_laplacian,
+                     fibonacci_sphere)
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
@@ -166,26 +167,53 @@ def test_boundary_rhs_in_slices_is_the_one_block_product(make_knots, nb, step,
                                                          monkeypatch):
     # slices of step rows, with edges inside the Neumann run and a last
     # slice of 1 row (joined to the slice before), 2, 3, 4 or more, must
-    # give the bits of one product over the whole u_p block
+    # give the bits of one product over the whole u_p block, whether they
+    # read the knots' distance matrix or compute their own distances
     ks, kernel = make_knots(nb), mq_pair(2.5)
-    monkeypatch.setattr(solver, "_RHS_SLICE", (step + 1) * ks.size)
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", (step + 1) * ks.size)
+    past_the_cut = make_knots(nb)     # built under the smaller budget: no matrix
     rng = np.random.default_rng(nb)
-    fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=kernel, knots=ks)
+    alpha = rng.standard_normal(ks.size)
     data = rng.standard_normal(nb)
     radial = (kernel.phi_hat, kernel.phi_hat_normal)
     block = solver._boundary_operator(radial, ks, np.s_[:nb], np.s_[:])
-    expected = data - block @ fit.alpha
-    assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
+    expected = data - block @ alpha
+    for knots in (ks, past_the_cut):
+        fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
+        assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
 
 
 def test_boundary_rhs_holds_no_knot_by_knot_block():
     # the whole 1000 x 1000 u_p block would take 8 MB; one slice takes
-    # at most _RHS_SLICE entries
+    # at most _BLOCK_ENTRIES entries
     ks = ellipse_knots(ELL_WIDE, 1000)
     rng = np.random.default_rng(5)
     fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=mq_pair(3.0), knots=ks)
     data = rng.standard_normal(ks.n_boundary)
     assert allocation_peak(lambda: solver._boundary_rhs(data, fit)) < 2**20
+
+
+@pytest.mark.parametrize("make_knots, frm_k", [
+    (lambda: _mixed_ellipse_knots(40), None),
+    (lambda: _mixed_sphere_knots(40), None),
+    (lambda: ellipse_knots(ELL_WIDE, 40).with_dirichlet_count(25), 8),
+    (lambda: KnotSet(fibonacci_sphere(60), fibonacci_sphere(60), dirichlet_count=40), 12)],
+    ids=["ellipse-dense", "sphere-dense", "ellipse-truncated", "sphere-truncated"])
+def test_solves_are_bit_identical_on_both_sides_of_the_distance_matrix_cut(
+        make_knots, frm_k):
+    # mixed Dirichlet/Neumann rows, with interior knots on the dense solves
+    problem = ProblemSpec(forcing=lambda p: p[:, 0],
+                         dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0],
+                         neumann=lambda p: np.cos(p[:, 1]))
+    results = {}
+    for path in KNOT_PATHS:
+        with every_knot_set_on(path):
+            sol = solve_linear(problem, make_knots(), mq_pair(2.0), frm_k=frm_k)
+        pts = 0.3 * sol.knots.boundary_positions[::3]
+        interior = () if sol.interior_u is None else sol.interior_u.tobytes()
+        results[path] = (sol.lam.tobytes(), sol.drm_fit.alpha.tobytes(), interior,
+                         sol.diagnostics, evaluate(sol, pts).tobytes())
+    assert results["matrix"] == results["tree"]
 
 
 # ---------------------------------------------------------------------------

@@ -229,11 +229,9 @@ def _run_solve(args) -> tuple[int, list[str]]:
     solution = solve_linear(problem, knots, KernelPair(parsed["c"]))
     _log_diagnostics(solution.diagnostics)
     lines = ["x,y,computed"]
-    if parsed["eval"]:
-        pts = np.array(parsed["eval"])
-        values = evaluate(solution, pts)
-        for (x, y), u in zip(pts, values):
-            lines.append(",".join(bench._fmt(v) for v in (x, y, u)))
+    pts = np.reshape(parsed["eval"], (-1, 2))     # (0, 2) without eval lines
+    for (x, y), u in zip(pts, evaluate(solution, pts)):
+        lines.append(",".join(bench._fmt(v) for v in (x, y, u)))
     return 0, lines
 
 

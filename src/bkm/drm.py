@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KnotSet, _normal_projections, as_point, pairwise_distances
+from .geometry import (KnotSet, _normal_projections, _row_sliced, as_point,
+                       pairwise_distances)
 from .kernels import KernelPair
 
 
@@ -38,17 +39,21 @@ class DrmFit:
     knots: KnotSet
 
 
-def _points_array(x, dimension):
-    """(points as an (m, d) array, whether x was a single point); refuses
-    non-finite coordinates with :func:`as_point`'s error."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return as_point(arr)[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == dimension:
-        if not np.isfinite(arr).all():
-            as_point(arr[~np.isfinite(arr).all(axis=1)][0])
-        return arr, False
-    raise ValueError(f"expected a point of dimension {dimension} or an array of them")
+def _at_points(x, sources, block):
+    """``block(r)`` at one point (a float) or at (m, d) points, r their
+    distances to the (n, d) ``sources``, over row slices
+    (:func:`bkm.geometry._row_sliced`). Non-finite coordinates raise
+    :func:`as_point`'s error."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        return float(_at_points(as_point(pts)[None, :], sources, block)[0])
+    if pts.ndim != 2 or pts.shape[1] != sources.shape[1]:
+        raise ValueError(f"expected a point of dimension {sources.shape[1]} "
+                         "or an array of them")
+    if not np.isfinite(pts).all():
+        as_point(pts[~np.isfinite(pts).all(axis=1)][0])
+    return _row_sliced(lambda a, b: block(pairwise_distances(pts[a:b], sources)),
+                       len(pts), len(sources))
 
 
 def evaluate_particular(fit: DrmFit, x):
@@ -56,10 +61,8 @@ def evaluate_particular(fit: DrmFit, x):
 
     Accepts a single point or an (m, d) array of points.
     """
-    pts, scalar = _points_array(x, fit.knots.dimension)
-    r = pairwise_distances(pts, fit.knots.all_positions)
-    values = fit.kernel.phi_hat(r) @ fit.alpha
-    return float(values[0]) if scalar else values
+    return _at_points(x, fit.knots.all_positions,
+                      lambda r: fit.kernel.phi_hat(r, out=r) @ fit.alpha)
 
 
 def evaluate_particular_normal(fit: DrmFit, x, n):

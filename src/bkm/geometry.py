@@ -28,9 +28,9 @@ UNIT_TOL = 1e-12
 
 #: The block budget in entries, 256 KB of float64. A knot set of at most 181
 #: knots, whose whole distance matrix fits, forms it at construction; a
-#: larger set forms it only when it is read. The solver takes u_p at the
-#: knots over row slices that fit. So a truncated solve forms no distance
-#: or kernel block larger than this.
+#: larger set forms it only when it is read. Truncated solves and field
+#: evaluation take their global products over row slices that fit
+#: (:func:`_row_sliced`), so they form no larger distance or kernel block.
 _BLOCK_ENTRIES = 32768
 
 
@@ -304,6 +304,31 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return cdist(a, b)
+
+
+def _row_sliced(block, m: int, n: int) -> np.ndarray:
+    """The m values of a product of an (m, n) kernel block with weights, one
+    row slice at a time: ``block(a, b)`` returns rows a:b times the weights.
+
+    The slices give the bits of one product over the whole block. OpenBLAS
+    multiplies a matrix by a vector in groups of 4 rows and takes the rows
+    left over with kernels that sum in another order, and numpy sends a
+    single row to a dot product. So a slice is a multiple of 4 rows, as many
+    as fit in :data:`_BLOCK_ENTRIES` entries with one row to spare (4 at
+    least), and a last single row joins the slice before it: each row meets
+    the kernel it meets in the one product. A slice is too small for OpenBLAS
+    to split across threads, so the bits are those of the one product on one
+    thread, whatever the thread count.
+    """
+    step = max(4, (_BLOCK_ENTRIES // n - 1) // 4 * 4)
+    if m <= step + 1:      # one slice: its values, with no copy into an output
+        return block(0, m)
+    out, a = np.empty(m), 0
+    for b in range(step, m - 1, step):
+        out[a:b] = block(a, b)
+        a = b
+    out[a:] = block(a, m)
+    return out
 
 
 def _normal_projections(points, normals, sources, r):

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._linalg import FactoredMatrix
-from .geometry import _checked_count, pairwise_distances
+from .geometry import _checked_count, _row_sliced, pairwise_distances
 
 #: The callables each kind needs besides g; its keys are ``KINDS``.
 _REQUIRED = {"interior": (), "dirichlet": ("dirichlet", "g_dr"),
@@ -196,9 +196,9 @@ def evaluate_constrained(fit: ConstrainedFit, x):
     p = np.asarray(x, dtype=float)
     if p.ndim > 2 or not np.isfinite(p).all():
         raise ValueError("expected a point or (m, d) points, with finite coordinates")
-    pts = np.atleast_2d(p)
-    u = fit.kernel(pairwise_distances(pts, fit.nodes), fit.nodes) @ fit.beta[:-1] \
-        + fit.beta[-1] * _on_points(fit.psi, pts)
+    pts, nodes = np.atleast_2d(p), fit.nodes
+    u = fit.beta[-1] * _on_points(fit.psi, pts) + _row_sliced(lambda a, b: fit.kernel(
+        pairwise_distances(pts[a:b], nodes), nodes) @ fit.beta[:-1], len(pts), len(nodes))
     return float(u[0]) if p.ndim < 2 else u
 
 

@@ -32,11 +32,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import geometry
 from ._linalg import FactoredMatrix, SolveRecord
-from .drm import DrmFit, _points_array, build_interpolation_matrix
+from .drm import DrmFit, _at_points, build_interpolation_matrix
 from .frm import solve_sparse, truncate_system
-from .geometry import Ellipse, KnotSet, _normal_projections, pairwise_distances
+from .geometry import Ellipse, KnotSet, _normal_projections, _row_sliced
 from .kernels import GeneralSolution, KernelPair
 
 
@@ -222,32 +221,13 @@ def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
 
 def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
-    knots of ``fit``. The row slices read the knots' distance matrix when
-    the set holds one, and otherwise compute their own distances, with the
-    same bits (:meth:`KnotSet.distances_at`).
-
-    ``rows @ alpha`` is taken over row slices, so no N x N block is formed,
-    with the bits of one product over the whole block. OpenBLAS multiplies
-    a matrix by a vector in groups of 4 rows and takes the rows left over
-    with kernels that sum in another order, and numpy sends a single row to
-    a dot product. So a slice is a multiple of 4 rows, as many as fit in
-    :data:`bkm.geometry._BLOCK_ENTRIES` entries with one row to spare (4 at
-    least), and a last single row joins the slice before it: each row meets
-    the kernel it meets in the one product. A ``paper`` or ``wide`` block
-    (at most 32 x 144) is one slice. A slice is too small for OpenBLAS to
-    split across threads, so the bits are those of the one product on one
-    thread, whatever the thread count.
-    """
-    knots, kernel = fit.knots, fit.kernel
-    nb, n = knots.n_boundary, knots.size
-    step = max(1, (geometry._BLOCK_ENTRIES // n - 1) // 4) * 4
-    edges = [*range(0, max(nb - 1, 1), step), nb]
-    out = np.empty(nb)
-    for a, b in zip(edges, edges[1:]):
-        rows = _boundary_operator((kernel.phi_hat, kernel.phi_hat_normal), knots,
-                                  np.s_[a:b], np.s_[:])
-        np.matmul(rows, fit.alpha, out=out[a:b])
-    return np.subtract(data, out, out=out)
+    knots of ``fit``, over row slices (:func:`bkm.geometry._row_sliced`). The
+    slices read the knots' distance matrix when the set holds one, and
+    otherwise compute their own distances, with the same bits
+    (:meth:`KnotSet.distances_at`)."""
+    knots, radial = fit.knots, (fit.kernel.phi_hat, fit.kernel.phi_hat_normal)
+    return data - _row_sliced(lambda a, b: _boundary_operator(
+        radial, knots, np.s_[a:b], np.s_[:]) @ fit.alpha, knots.n_boundary, knots.size)
 
 
 def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
@@ -398,19 +378,13 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
 
 def evaluate(solution: BkmSolution, x):
     """Field value u = v + u_p at a point or an (m, d) array of points."""
-    knots = solution.knots
-    pts, scalar = _points_array(x, knots.dimension)
-    r = pairwise_distances(pts, knots.all_positions)
-    fit = solution.drm_fit
+    knots, fit, gs = solution.knots, solution.drm_fit, solution.general_solution
     # J0 reads the distances before phi_hat overwrites them with its block
-    v = solution.general_solution.value(r[:, :knots.n_boundary]) @ solution.lam
-    u = v + fit.kernel.phi_hat(r, out=r) @ fit.alpha
-    return float(u[0]) if scalar else u
+    return _at_points(x, knots.all_positions, lambda r: gs.value(r[:, :knots.n_boundary])
+                      @ solution.lam + fit.kernel.phi_hat(r, out=r) @ fit.alpha)
 
 
 def evaluate_homogeneous(solution: BkmSolution, x):
     """The general-solution component v alone (diagnostics and testing)."""
-    pts, scalar = _points_array(x, solution.knots.dimension)
-    r = pairwise_distances(pts, solution.knots.boundary_positions)
-    v = solution.general_solution.value(r) @ solution.lam
-    return float(v[0]) if scalar else v
+    return _at_points(x, solution.knots.boundary_positions,
+                      lambda r: solution.general_solution.value(r) @ solution.lam)

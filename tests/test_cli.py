@@ -149,6 +149,9 @@ def test_solve_problem_file(tmp_path, capsys):
     assert len(lines) == 3
     u = float(lines[1].split(",")[2])
     assert u == pytest.approx(np.sin(1.5) + 1.5, abs=0.05)
+    # without eval lines: the header alone
+    path.write_text(re.sub(r"(?m)^eval = .*$", "", PROBLEM_FILE))
+    assert run_cli(capsys, "solve", str(path))[:2] == (0, "x,y,computed\n")
 
 
 def test_solve_rejects_dimension_other_than_two(tmp_path, capsys):

@@ -1,23 +1,28 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bkm import _linalg, geometry, kernels, solver
+from bkm import _linalg, bench, geometry, kernels, solver
 from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
 from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
+from bkm.gsr import ConstrainedFit, GsrKernel, evaluate_constrained
 from bkm.kernels import GeneralSolution, bessel_j0, bessel_j1, mq_pair
-from bkm.solver import (ProblemSpec, RhoBoundaryNonlinear, RhoLinear, RhoZero,
-                        assemble_homogeneous_rows, evaluate,
+from bkm.solver import (BkmSolution, ProblemSpec, RhoBoundaryNonlinear, RhoLinear,
+                        RhoZero, assemble_homogeneous_rows, evaluate,
                         evaluate_homogeneous, solve_linear,
                         solve_nonlinear_boundary_only)
-from oracles import (KNOT_PATHS, allocation_peak, every_knot_set_on, fd_laplacian,
-                     fibonacci_sphere)
+from oracles import (KNOT_PATHS, allocation_peak, assert_bit_identical,
+                     every_knot_set_on, fd_laplacian, fibonacci_sphere)
 
 ELL1 = Ellipse(np.zeros(2), 2.0, 1.0)
 ELL2 = Ellipse(np.array([3.0, 0.0]), 1.5, 0.5)
@@ -181,6 +186,34 @@ def test_boundary_rhs_in_slices_is_the_one_block_product(make_knots, nb, step,
     for knots in (ks, past_the_cut):
         fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
         assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
+
+    # field evaluation and the constrained fit take the same slices at m
+    # points: none, or two whole slices and a last of 1 (joined), 2, 3 or 4
+    gs = GeneralSolution(ks.dimension)
+    lam, beta = rng.standard_normal(nb), rng.standard_normal(ks.size + 1)
+    sol = BkmSolution(lam=lam, drm_fit=DrmFit(alpha=alpha, kernel=kernel, knots=ks),
+                      general_solution=gs, knots=ks)
+    gsr_kernel, psi = GsrKernel("simple", np.cos), lambda p: p[..., 0]
+    gsr_fit = ConstrainedFit(beta=beta, psi=psi, nodes=ks.all_positions,
+                             kernel=gsr_kernel)
+    nodes, boundary = ks.all_positions, ks.boundary_positions
+    products = [   # (sliced product, its columns, one whole-block product)
+        (lambda p: evaluate(sol, p), nodes,
+         lambda p: gs.value(pairwise_distances(p, boundary)) @ lam
+         + kernel.phi_hat(pairwise_distances(p, nodes)) @ alpha),
+        (lambda p: evaluate_homogeneous(sol, p), boundary,
+         lambda p: gs.value(pairwise_distances(p, boundary)) @ lam),
+        (lambda p: evaluate_particular(sol.drm_fit, p), nodes,
+         lambda p: kernel.phi_hat(pairwise_distances(p, nodes)) @ alpha),
+        (lambda p: evaluate_constrained(gsr_fit, p), nodes,
+         lambda p: gsr_kernel(pairwise_distances(p, nodes), nodes) @ beta[:-1]
+         + beta[-1] * psi(p))]
+    for sliced, columns, whole in products:
+        rows = max(4, (geometry._BLOCK_ENTRIES // len(columns) - 1) // 4 * 4)
+        pts = 0.5 * rng.standard_normal((2 * rows + 4, ks.dimension))
+        for m in (0, 2 * rows + 1, 2 * rows + 2, 2 * rows + 3, 2 * rows + 4):
+            assert_bit_identical(sliced(pts[:m]), whole(pts[:m]))
+        assert_bit_identical(sliced(pts[0]), float(whole(pts[:1])[0]))
 
 
 def test_boundary_rhs_holds_no_knot_by_knot_block():
@@ -878,14 +911,52 @@ def wide_solution():
 
 
 def test_evaluate_holds_one_distance_block_at_most():
-    # pairwise_distances returns one m x n block and phi_hat writes its own
-    # over it; beside it live the J0 block (N_b columns), one slice of the
-    # cube's square root and small ufunc buffers
+    # the 256 x 144 distances are taken in row slices of at most
+    # _BLOCK_ENTRIES entries, and phi_hat writes its block over the slice's;
+    # beside them live the slice's J0 block (N_b of the N+L columns), one
+    # slice of the cube's square root, the output and small ufunc buffers
     sol = wide_solution()
     pts = ELL_WIDE.interior_samples(256, seed=4)
     m, n, nb = len(pts), sol.knots.size, sol.knots.n_boundary
-    budget = (m * n + m * nb) * 8 + kernels._CUBE_SLICE * 8 + 16 * 1024
+    slice_entries = geometry._BLOCK_ENTRIES * (n + nb) // n
+    budget = (slice_entries + m) * 8 + kernels._CUBE_SLICE * 8 + 16 * 1024
     assert allocation_peak(lambda: evaluate(sol, pts)) <= budget
+
+
+def test_evaluate_memory_does_not_grow_with_the_point_count():
+    # table1 at 1000 knots, truncated to k = 8: one 4e4 x 1000 distance
+    # block would take 320 MB; a slice holds at most _BLOCK_ENTRIES
+    # distances and as many J0 entries, beside the output
+    case = bench.table1_case()
+    ks = ellipse_knots(case.problem.geometry, 1000)
+    sol = solve_linear(case.problem, ks, mq_pair(3.0), frm_k=8)
+    pts = ELL1.interior_samples(40000, seed=6)
+    budget = len(pts) * 8 + 3 * geometry._BLOCK_ENTRIES * 8
+    assert allocation_peak(lambda: evaluate(sol, pts)) <= budget
+
+
+#: Prints the bytes of the field of table1 at 1000 knots, truncated to
+#: k = 8, at 1001 points: one 1001 x 1000 product, which OpenBLAS would split
+#: across threads.
+_FIELD_BYTES = """
+import bkm
+case = bkm.named_case("table1")
+ks = bkm.ellipse_knots(case.problem.geometry, 1000)
+sol = bkm.solve_linear(case.problem, ks, bkm.mq_pair(3.0), frm_k=8)
+pts = case.problem.geometry.interior_samples(1001, seed=6)
+print(bkm.evaluate(sol, pts).tobytes().hex())
+"""
+
+
+def test_evaluate_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [subprocess.run([sys.executable, "-c", _FIELD_BYTES], check=True,
+                           capture_output=True, text=True, timeout=300,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] != ""
 
 
 def test_phi_block_holds_three_blocks_at_most():

@@ -19,10 +19,11 @@ from .kernels import KernelPair
 def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> np.ndarray:
     """Dense symmetric phi(||x_i - x_j||) over boundary-then-interior knots.
 
-    Uses :attr:`KnotSet.distances`; the knot set's constructor has already
-    refused coincident knots, which would make the matrix singular.
+    Reads all pairs through :meth:`KnotSet.distances_at`; the knot set's
+    constructor has already refused coincident knots, which would make the
+    matrix singular.
     """
-    return kernel.phi(knots.distances, dimension=knots.dimension)
+    return kernel.phi(knots.distances_at(np.s_[:], np.s_[:]), dimension=knots.dimension)
 
 
 @dataclass(frozen=True)

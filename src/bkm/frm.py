@@ -64,9 +64,9 @@ def truncate_system(matrix, rhs, knots: KnotSet, k: int,
     memory per knot set and k, and is kept on the knot set, so both systems
     of a solve share it. A dense ``matrix`` brings its own N^2 entries. A
     truncated solve holds no N x N array: a set of more than 181 knots
-    forms its distance matrix only when a dense stage reads it, the solver
-    takes the kept pairs' distances from the positions, and it takes
-    ``u_p`` at the knots, which is global, as a product over row slices.
+    holds no distance matrix, the solver takes the kept pairs' distances
+    from the positions, and it takes ``u_p`` at the knots, which is global,
+    as a product over row slices.
     """
     n, k = knots.size, _checked_count(k, "neighbour count", 1, knots.size)
     if callable(matrix):

@@ -27,8 +27,8 @@ BOUNDARY_TOL = 1e-12
 UNIT_TOL = 1e-12
 
 #: The block budget in entries, 256 KB of float64. A knot set of at most 181
-#: knots, whose whole distance matrix fits, forms it at construction; a
-#: larger set forms it only when it is read. Truncated solves and field
+#: knots, whose whole distance matrix fits, forms it at construction and
+#: keeps it; a larger set never holds one. Truncated solves and field
 #: evaluation take their global products over row slices that fit
 #: (:func:`_row_sliced`), so they form no larger distance or kernel block.
 _BLOCK_ENTRIES = 32768
@@ -112,7 +112,9 @@ class KnotSet:
 
     The boundary list is partitioned into a Dirichlet prefix (the first
     ``dirichlet_count`` knots) and a Neumann suffix. Row/column order of every
-    assembled matrix follows this ordering.
+    assembled matrix follows this ordering. Knot-to-knot distances are read
+    through :meth:`distances_at` alone; a set of at most 181 knots holds the
+    matrix its coincidence check forms, and a larger set holds none.
 
     Parameters
     ----------
@@ -164,8 +166,8 @@ class KnotSet:
         self._all = allp
         self._dirichlet_count = dc
         # what is derived from the positions alone, formed once and shared
-        # with with_dirichlet_count twins: "distances", "tree" (the k-d
-        # tree) and k -> neighbours(k)
+        # with with_dirichlet_count twins: "distances" (the constructor's,
+        # up to the cut), "tree" (the k-d tree) and k -> neighbours(k)
         self._kept = {}
         if allp.shape[0] ** 2 <= _BLOCK_ENTRIES:
             dists = pairwise_distances(allp, allp)
@@ -192,28 +194,13 @@ class KnotSet:
         """All knots, boundary first then interior, shape (N+L, d)."""
         return self._all
 
-    @property
-    def distances(self) -> np.ndarray:
-        """Read-only knot-to-knot distances over :attr:`all_positions`,
-        (N+L, N+L), from :func:`pairwise_distances`.
-
-        A set of at most 181 knots forms them at construction, where they
-        refuse coincident knots. A larger set forms them on first read, and
-        a truncated solve never reads them. Either way they are kept, and a
-        :meth:`with_dirichlet_count` twin shares them.
-        """
-        dists = self._kept.get("distances")
-        if dists is None:
-            dists = self._kept["distances"] = pairwise_distances(self._all, self._all)
-            dists.setflags(write=False)
-        return dists
-
     def distances_at(self, rows, cols) -> np.ndarray:
-        """``distances[rows, cols]``, with the same bits, for two slices (a
-        block) or two (p,) index arrays (p gathered pairs). A set that does
-        not hold its distance matrix computes just these entries, with the
-        arithmetic of :func:`pairwise_distances`, which computes each entry
-        on its own, and does not form the matrix."""
+        """Knot-to-knot distances over :attr:`all_positions` at two slices (a
+        block; ``np.s_[:], np.s_[:]`` for all pairs) or at two (p,) index
+        arrays (p gathered pairs), with the bits of :func:`pairwise_distances`.
+        A set that holds its matrix reads them from it (a block is a
+        read-only view); any other set computes just these entries, each on
+        its own as :func:`pairwise_distances` does, and keeps nothing."""
         dists = self._kept.get("distances")
         if dists is not None:
             return dists[rows, cols]
@@ -226,7 +213,7 @@ class KnotSet:
         pattern ``(indices, indptr)``: row i keeps the columns
         ``indices[indptr[i]:indptr[i + 1]]``, ascending, exactly k of them.
 
-        Distances are those of :attr:`distances`; ties at the k-th distance
+        Distances are those of :meth:`distances_at`; ties at the k-th distance
         break towards the lower knot index, as a stable sort of each row
         would. The pattern is computed once per k and kept, from the k-d
         tree alone (see :func:`_nearest_neighbours`), in O(N log N) expected
@@ -277,9 +264,9 @@ class KnotSet:
     def with_dirichlet_count(self, count: int) -> "KnotSet":
         """Copy of this set with a different Dirichlet/Neumann partition.
 
-        No knot moves, so the copy shares this set's frozen arrays, k-d tree,
-        distance matrix and neighbour patterns, whenever either set forms
-        them, and needs no coincidence check.
+        No knot moves, so the copy shares this set's frozen arrays, its held
+        distance matrix, if any, and its k-d tree and neighbour patterns,
+        whenever either set forms them, and needs no coincidence check.
         """
         twin = copy.copy(self)
         twin._dirichlet_count = _checked_count(count, "dirichlet_count", 0, self.n_boundary)

@@ -60,7 +60,8 @@ class RhoLinear:
 
     ``basis_images(knots, kernel)`` must return the (N+L, N+L) matrix whose
     entry [i, j] is the operator applied to the particular-solution basis
-    centred at knot j, evaluated at knot i.
+    centred at knot j, evaluated at knot i. Its distances over all pairs
+    are ``pairwise_distances(knots.all_positions, knots.all_positions)``.
     """
 
     basis_images: Callable[[KnotSet, KernelPair], np.ndarray]
@@ -93,8 +94,9 @@ class ProblemSpec:
 
     All data callables are vectorised: they take an (m, d) array of points
     and return an array of m values. Each one, ``RhoBoundaryNonlinear.apply``
-    included, must return exactly m values, shape (m,): a solve refuses any
-    other shape, a scalar or an (m, 1) column among them, naming the callable.
+    included, must return exactly m finite values, shape (m,): a solve
+    refuses any other shape, a scalar or an (m, 1) column among them, and
+    any inf or nan, naming the callable, on dense and truncated paths alike.
     The Dirichlet and Neumann data are read once per solve. Construction
     refuses a ``rho`` that is not a descriptor instance and data that is not
     callable; all but ``forcing`` may be None.
@@ -196,12 +198,16 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
 
 
 def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
-    """``fn(points)`` for (m, d) ``points`` as m floats; any other shape is
-    refused with a message naming ``name``."""
+    """``fn(points)`` for (m, d) ``points`` as m finite floats; any other
+    shape, and a value that is not finite, is refused with a message naming
+    ``name``."""
     values = np.asarray(fn(points), dtype=float)
     if values.shape != (len(points),):
         raise ValueError(f"{name} must return one value per point, shape "
                          f"({len(points)},), got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must return finite values, got "
+                         f"{values[~np.isfinite(values)][0]}")
     return values
 
 
@@ -221,10 +227,8 @@ def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
 
 def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
-    knots of ``fit``, over row slices (:func:`bkm.geometry._row_sliced`). The
-    slices read the knots' distance matrix when the set holds one, and
-    otherwise compute their own distances, with the same bits
-    (:meth:`KnotSet.distances_at`)."""
+    knots of ``fit``, over row slices (:func:`bkm.geometry._row_sliced`)
+    whose distances come from :meth:`KnotSet.distances_at`."""
     knots, radial = fit.knots, (fit.kernel.phi_hat, fit.kernel.phi_hat_normal)
     return data - _row_sliced(lambda a, b: _boundary_operator(
         radial, knots, np.s_[a:b], np.s_[:]) @ fit.alpha, knots.n_boundary, knots.size)
@@ -257,7 +261,8 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     # u is quasi-interpolated in the particular-solution basis, so the
     # operator images R pair with the phi_hat interpolation matrix B:
     # rho{u} = R B^{-1} u, and B is symmetric, so R B^{-1} = (B^{-1} R^T)^T
-    u_interp = FactoredMatrix(kernel.phi_hat(knots.distances), label="u-interpolation")
+    u_interp = FactoredMatrix(kernel.phi_hat(knots.distances_at(np.s_[:], np.s_[:])),
+                              label="u-interpolation")
     coupling = u_interp.solve(images.T).T
     nb = knots.n_boundary
     rhs_u = coupling[:, nb:] if knots.n_interior > 0 else None

@@ -189,8 +189,8 @@ def allocation_peak(fn) -> int:
 
 #: Block budgets that put every knot set on one side of the cut: "matrix"
 #: forms the distance matrix at construction and refuses coincident knots
-#: by its argmin; "tree" refuses them with a k-d tree and forms the matrix
-#: only when it is read. The budget also sizes the solver's u_p row slices:
+#: by its argmin; "tree" refuses them with a k-d tree and holds no
+#: matrix. The budget also sizes the solver's u_p row slices:
 #: one slice on "matrix", 4 rows each on "tree".
 KNOT_PATHS = {"matrix": 2**62, "tree": 0}
 

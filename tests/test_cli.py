@@ -164,6 +164,19 @@ def test_solve_rejects_dimension_other_than_two(tmp_path, capsys):
     assert "dimension must be 2" in err
 
 
+def test_solve_refuses_data_that_overflows_naming_the_callable(tmp_path, capsys):
+    # y e^x overflows at x = 800: the Dirichlet read refuses it, by name
+    path = tmp_path / "problem.txt"
+    path.write_text(re.sub(r"(?m)^eval = .*$", "eval = 800 0", PROBLEM_FILE)
+                    .replace("ellipse = 0 0 2 1", "ellipse = 800 0 2 1")
+                    .replace("sin_x_plus_x", "y_exp_x"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dirichlet must return finite values")
+
+
 def test_solve_missing_file_exits_two(capsys):
     code, *_ = run_cli(capsys, "solve", "/nonexistent/problem.txt")
     assert code == 2

@@ -15,7 +15,7 @@ import pytest
 
 from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
 from bkm.bench import run_case, table1_case, table2_case
-from bkm.geometry import Ellipse, ellipse_knots
+from bkm.geometry import Ellipse, ellipse_knots, pairwise_distances
 from bkm.kernels import mq_pair
 from bkm.solver import ProblemSpec, RhoLinear, solve_linear
 from oracles import mp_solve
@@ -38,8 +38,9 @@ def sin_x_plus_x_normal(p):
 
 def x_derivative_images(knots, kernel):
     """rho{u} = u_x / 2 on the phi_hat basis: (3 / 2) s (x_i - x_j)."""
-    x = knots.all_positions[:, 0]
-    s = np.sqrt(knots.distances ** 2 + kernel.shape ** 2)
+    pts = knots.all_positions
+    x = pts[:, 0]
+    s = np.sqrt(pairwise_distances(pts, pts) ** 2 + kernel.shape ** 2)
     return 1.5 * s * (x[:, None] - x[None, :])
 
 

@@ -266,11 +266,13 @@ def test_with_dirichlet_count_shares_arrays_and_checks_range():
                 .with_interior(np.array([[0.1, 0.2]]))
         mixed = base.with_dirichlet_count(4)
         assert (mixed.dirichlet_count, base.dirichlet_count) == (4, 6)
-        # the twin is made before either set reads its distances: on the
-        # tree path the matrix the twin forms is the base's too
-        for name in ("distances", "all_positions", "boundary_positions",
-                     "boundary_normals", "interior"):
+        for name in ("all_positions", "boundary_positions", "boundary_normals",
+                     "interior"):
             assert getattr(mixed, name) is getattr(base, name)
+        # the twin reads the base's held matrix; the tree path holds none
+        reads = [ks.distances_at(np.s_[:], np.s_[:]) for ks in (mixed, base)]
+        assert np.shares_memory(*reads) == (path == "matrix")
+        # the neighbour pattern the twin forms is the base's too
         assert mixed.neighbours(3) is base.neighbours(3)
     for bad in (-1, 7):      # 7 = knot count, one past the boundary knots
         with pytest.raises(ValueError, match="dirichlet_count out of range"):
@@ -310,7 +312,8 @@ def _sphere_set(n=120):
 def assert_neighbours_are_brute_force(ks, counts):
     # the reference: each row's first k columns of a stable argsort of its
     # full distance row, ascending
-    order = np.argsort(ks.distances, axis=1, kind="stable")
+    order = np.argsort(pairwise_distances(ks.all_positions, ks.all_positions),
+                       axis=1, kind="stable")
     for k in counts:
         indices, indptr = ks.neighbours(k)
         np.testing.assert_array_equal(indptr, np.arange(0, ks.size * k + 1, k))
@@ -435,28 +438,34 @@ def test_pairwise_distances_dimension_mismatch():
 
 
 def test_knotset_distances_read_only_and_exact():
-    # both paths give the bits of one pairwise_distances block
+    # both paths give the bits of one pairwise_distances block; only the
+    # matrix path holds a matrix, and the tree path computes each read afresh
     variants = []
     for path in KNOT_PATHS:
         with every_knot_set_on(path):
             base = ellipse_knots(Ellipse(np.array([0.5, -1.0]), 3.0, 1.5), 9)
-            variants += [base, base.with_interior(np.array([[0.1, -0.9], [1.2, -1.3]])),
-                         base.with_dirichlet_count(4),
-                         base.with_interior(np.array([[0.4, -0.6]])).with_dirichlet_count(2),
-                         _knots_at(oracles.fibonacci_sphere(30) * 1e3 + 7.0)]
-    for ks in variants:
-        d = ks.distances
+            variants += [(path, ks) for ks in (
+                base, base.with_interior(np.array([[0.1, -0.9], [1.2, -1.3]])),
+                base.with_dirichlet_count(4),
+                base.with_interior(np.array([[0.4, -0.6]])).with_dirichlet_count(2),
+                _knots_at(oracles.fibonacci_sphere(30) * 1e3 + 7.0))]
+    for path, ks in variants:
+        d = ks.distances_at(np.s_[:], np.s_[:])
         assert d.shape == (ks.size, ks.size)
-        assert not d.flags.writeable
-        with pytest.raises(ValueError):
-            d[0, 1] = 0.0
+        if path == "matrix":
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0, 1] = 0.0
+        else:
+            assert not np.shares_memory(d, ks.distances_at(np.s_[:], np.s_[:]))
         diag = np.diag(d)
         assert np.all(diag == 0.0) and not np.any(np.signbit(diag))
         full = pairwise_distances(ks.all_positions, ks.all_positions)
         assert d.tobytes() == full.tobytes()
     # exactly symmetric, which the DRM right-hand side relies on; 1000
-    # knots form the matrix when it is read
-    d = ellipse_knots(Ellipse(np.zeros(2), 10.0, 5.0), 1000).distances
+    # knots compute the whole block when it is read
+    ks = ellipse_knots(Ellipse(np.zeros(2), 10.0, 5.0), 1000)
+    d = ks.distances_at(np.s_[:], np.s_[:])
     assert d.tobytes() == d.T.copy().tobytes()
 
 
@@ -467,8 +476,8 @@ def test_knotset_distances_read_only_and_exact():
     lambda: _knots_at(oracles.fibonacci_sphere(50) * 1e3 + 7.0)],
     ids=["ellipse", "sphere"])
 def test_distances_at_blocks_and_pairs_are_the_matrix_entries(make_knots, path):
-    # read before the matrix is formed on the tree path, so there each
-    # block and pair is computed on its own
+    # the tree path holds no matrix, so there each block and pair is
+    # computed on its own
     with every_knot_set_on(path):
         ks = make_knots()
     n = ks.size

@@ -1,7 +1,9 @@
+import gc
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from bkm import _linalg, bench, geometry, kernels, solver
 from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
 from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
-from bkm.errors import IllConditionedError
+from bkm.errors import DegenerateGeometryError, IllConditionedError
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
 from bkm.gsr import ConstrainedFit, GsrKernel, evaluate_constrained
 from bkm.kernels import GeneralSolution, bessel_j0, bessel_j1, mq_pair
@@ -126,11 +128,12 @@ def test_dirichlet_only_boundary_operator_is_the_plain_kernel(make_knots, c):
     gs = GeneralSolution(ks.dimension)
     nb = ks.n_boundary
     rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
-    assert rows.tobytes() == gs.value(ks.distances[:nb, :nb]).tobytes()
+    dists = pairwise_distances(ks.all_positions, ks.all_positions)
+    assert rows.tobytes() == gs.value(dists[:nb, :nb]).tobytes()
     rng = np.random.default_rng(nb)
     fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=kernel, knots=ks)
     data = rng.standard_normal(nb)
-    expected = data - kernel.phi_hat(ks.distances[:nb]) @ fit.alpha
+    expected = data - kernel.phi_hat(dists[:nb]) @ fit.alpha
     assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
 
 
@@ -633,7 +636,7 @@ def test_linear_rest_solution_meets_its_equations(a, aspect, n_boundary,
     exact = helmholtz_problem().exact
     problem = ProblemSpec(
         forcing=lambda p: p[:, 0] - beta * exact(p), dirichlet=exact,
-        rho=RhoLinear(lambda k, kernel: beta * kernel.phi_hat(k.distances)),
+        rho=RhoLinear(lambda k, kernel: beta * _phi_hat_images(k, kernel)),
         geometry=ell)
     kernel = mq_pair(c)
     try:
@@ -643,7 +646,7 @@ def test_linear_rest_solution_meets_its_equations(a, aspect, n_boundary,
     assert [rec.label for rec in sol.diagnostics] == \
         ["particular-fit", "u-interpolation", "collocation"]
     # u at the knots sums these terms; round-off is bounded relative to them
-    r = ks.distances
+    r = pairwise_distances(ks.all_positions, ks.all_positions)
     scale = np.max(np.abs(bessel_j0(r[:, :n_boundary])) @ np.abs(sol.lam)
                    + np.abs(kernel.phi_hat(r)) @ np.abs(sol.drm_fit.alpha))
     cond = max(rec.condition for rec in sol.diagnostics)
@@ -745,27 +748,50 @@ def _misshapen(fn, shape):
     return lambda *args: float(np.asarray(fn(*args))[0])
 
 
-def _with_misshapen(name, shape):
-    """(solve, problem, knots, kernel) with the callable ``name`` misshapen."""
+def _spoiled(fn, value):
+    """``fn`` with its last value replaced by ``value``."""
+    def spoiled(*args):
+        values = np.array(fn(*args), dtype=float)
+        values[-1] = value
+        return values
+    return spoiled
+
+
+def _with_data(name, wrap):
+    """(solve, problem, knots, kernel) with the callable ``name`` replaced by
+    ``wrap`` of it."""
     if name == "RhoBoundaryNonlinear.apply":
         problem = nonlinear_problem()
-        rho = RhoBoundaryNonlinear(_misshapen(problem.rho.apply, shape))
+        rho = RhoBoundaryNonlinear(wrap(problem.rho.apply))
         return (solve_nonlinear_boundary_only, replace(problem, rho=rho),
                 ellipse_knots(ELL2, 9), mq_pair(18.0))
     problem = mixed_problem()
-    problem = replace(problem, **{name: _misshapen(getattr(problem, name), shape)})
+    problem = replace(problem, **{name: wrap(getattr(problem, name))})
     return (solve_linear, problem, ellipse_knots(ELL1, 8).with_dirichlet_count(4),
             mq_pair(3.0))
 
 
+DATA_CALLABLES = ["forcing", "dirichlet", "neumann", "RhoBoundaryNonlinear.apply"]
+
+
 @pytest.mark.parametrize("shape", ["column", "scalar"])
-@pytest.mark.parametrize("name", ["forcing", "dirichlet", "neumann",
-                                  "RhoBoundaryNonlinear.apply"])
+@pytest.mark.parametrize("name", DATA_CALLABLES)
 def test_data_callables_must_return_one_value_per_point(name, shape):
-    solve, problem, ks, kernel = _with_misshapen(name, shape)
+    solve, problem, ks, kernel = _with_data(name, lambda fn: _misshapen(fn, shape))
     message = re.escape(f"{name} must return one value per point")
     with pytest.raises(ValueError, match=message):
         solve(problem, ks, kernel)
+
+
+@pytest.mark.parametrize("frm_k", [None, 7], ids=["dense", "truncated"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", DATA_CALLABLES)
+def test_data_callables_must_return_finite_values(name, value, frm_k):
+    # refused where the data is read, with one message on both paths
+    solve, problem, ks, kernel = _with_data(name, lambda fn: _spoiled(fn, value))
+    message = re.escape(f"{name} must return finite values, got {value}")
+    with pytest.raises(ValueError, match=message):
+        solve(problem, ks, kernel, frm_k=frm_k)
 
 
 def _counting(fn, calls):
@@ -881,6 +907,45 @@ def test_a_backward_error_refusal_names_the_stage(monkeypatch, frm_k):
 
 
 # ---------------------------------------------------------------------------
+# Properties over random problems
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(center=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       a=st.floats(0.5, 8.0), aspect=st.floats(0.2, 1.0),
+       n_boundary=st.integers(3, 24), n_interior=st.integers(0, 8),
+       dirichlet_share=st.floats(0.0, 1.0), c=st.floats(0.3, 20.0),
+       seed=st.integers(0, 2**16))
+def test_every_solve_answers_within_its_gates_or_refuses(
+        center, a, aspect, n_boundary, n_interior, dirichlet_share, c, seed):
+    # a solve returns finite field values with every stage's backward error
+    # within RESIDUAL_TOL, or refuses; never noise
+    ell = Ellipse(np.array(center), a, a * aspect)
+    boundary = ellipse_knots(ell, n_boundary)
+    ks = boundary.with_dirichlet_count(round(dirichlet_share * n_boundary))
+    if n_interior:
+        ks = ks.with_interior(ell.interior_samples(n_interior, seed, shrink=0.8))
+    kernel, pts = mq_pair(c), ell.interior_samples(8, seed)
+
+    def solved(solve, problem, knots, frm_k):
+        try:
+            sol = solve(problem, knots, kernel, frm_k=frm_k)
+        except (IllConditionedError, DegenerateGeometryError):
+            return None
+        assert all(rec.eta <= RESIDUAL_TOL for rec in sol.diagnostics)
+        assert np.isfinite(evaluate(sol, pts)).all()
+        return sol
+
+    for frm_k in (None,) if n_interior else (None, ks.size):
+        solved(solve_linear, mixed_problem(ell), ks, frm_k)
+        # the nonlinear path: one factorisation pair, dense or truncated
+        sol = solved(solve_nonlinear_boundary_only, nonlinear_problem(), boundary, frm_k)
+        if sol is not None:
+            assert [rec.label for rec in sol.diagnostics] == \
+                ["particular-fit", "collocation"]
+
+
+# ---------------------------------------------------------------------------
 # Three dimensions
 # ---------------------------------------------------------------------------
 
@@ -961,9 +1026,25 @@ def test_evaluate_bits_do_not_depend_on_the_blas_thread_count():
 
 def test_phi_block_holds_three_blocks_at_most():
     # the output, s and one term of phi
-    r = wide_solution().knots.distances
+    pts = wide_solution().knots.all_positions
+    r = pairwise_distances(pts, pts)
     pair = mq_pair(4.0)
     assert allocation_peak(lambda: pair.phi(r)) <= 3 * r.nbytes + 16 * 1024
+
+
+def test_a_refused_dense_solve_leaves_no_matrix_on_a_large_knot_set():
+    # a dense fit reads all 1000 x 1000 distances and is refused; past the
+    # 181-knot cut the set keeps none of them (the matrix alone is 8 MB)
+    ks = ellipse_knots(ELL1, 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IllConditionedError, match="particular-fit"):
+            solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 def test_evaluate_matches_sum_of_components():

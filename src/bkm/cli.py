@@ -29,13 +29,24 @@ from .solver import ProblemSpec, RhoZero, evaluate, solve_linear
 
 log = logging.getLogger("bkm")
 
+
+def _quiet(fn):
+    """``fn`` with numpy's overflow and invalid-value warnings off: the solve
+    refuses a value that is not finite, naming the data, so that refusal is
+    all a user sees."""
+    def quiet(p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(p)
+    return quiet
+
+
 #: Named data functions available to problem files.
-BUILTIN_FUNCTIONS = {
+BUILTIN_FUNCTIONS = {name: _quiet(fn) for name, fn in {
     "x": lambda p: p[:, 0],
     "sin_x_plus_x": lambda p: np.sin(p[:, 0]) + p[:, 0],
     "y_exp_x": lambda p: p[:, 1] * np.exp(p[:, 0]),
     "zero": lambda p: np.zeros(p.shape[0]),
-}
+}.items()}
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 

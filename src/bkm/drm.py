@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .geometry import (KnotSet, _normal_projections, _row_sliced, as_point,
-                       pairwise_distances)
+from .geometry import (KnotSet, _normal_projections, _row_sliced, _slice_rows,
+                       as_point, pairwise_distances)
 from .kernels import KernelPair
 
 
@@ -42,19 +43,37 @@ class DrmFit:
 
 def _at_points(x, sources, block):
     """``block(r)`` at one point (a float) or at (m, d) points, r their
-    distances to the (n, d) ``sources``, over row slices
-    (:func:`bkm.geometry._row_sliced`). Non-finite coordinates raise
-    :func:`as_point`'s error."""
+    distances to the (n, d) ``sources``: a fresh C-contiguous block that
+    ``block`` may overwrite. Points that fit one row slice
+    (:func:`bkm.geometry._slice_rows`) take one block; more take one per
+    slice (:func:`bkm.geometry._row_sliced`). A block with a distance that
+    is not finite is refused, see :func:`_refuse_non_finite`."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         return float(_at_points(as_point(pts)[None, :], sources, block)[0])
     if pts.ndim != 2 or pts.shape[1] != sources.shape[1]:
         raise ValueError(f"expected a point of dimension {sources.shape[1]} "
                          "or an array of them")
-    if not np.isfinite(pts).all():
-        as_point(pts[~np.isfinite(pts).all(axis=1)][0])
-    return _row_sliced(lambda a, b: block(pairwise_distances(pts[a:b], sources)),
-                       len(pts), len(sources))
+    m, n = len(pts), len(sources)
+    if _slice_rows(m, n) < m:
+        return _row_sliced(lambda a, b: _at_points(pts[a:b], sources, block), m, n)
+    r = cdist(pts, sources)       # pairwise_distances, whose checks ran above
+    # one max over all axes, NaN failing the comparison; a ufunc reduce
+    # runs no Python frame, where r.max() runs one
+    if r.size and not np.maximum.reduce(r, None) < np.inf:
+        _refuse_non_finite(pts, r)
+    return block(r)
+
+
+def _refuse_non_finite(pts, r):
+    """Raise for the first point with a distance in ``r`` that is not
+    finite: :func:`as_point`'s error for a non-finite coordinate, else an
+    overflow error naming the point."""
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        as_point(pts[bad][0])
+    p = ", ".join(f"{v:g}" for v in pts[~np.isfinite(r).all(axis=1)][0])
+    raise ValueError(f"distances from point ({p}) to the knots overflow")
 
 
 def evaluate_particular(fit: DrmFit, x):
@@ -63,7 +82,7 @@ def evaluate_particular(fit: DrmFit, x):
     Accepts a single point or an (m, d) array of points.
     """
     return _at_points(x, fit.knots.all_positions,
-                      lambda r: fit.kernel.phi_hat(r, out=r) @ fit.alpha)
+                      lambda r: fit.kernel.phi_hat(r, out=r).dot(fit.alpha))
 
 
 def evaluate_particular_normal(fit: DrmFit, x, n):

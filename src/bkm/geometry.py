@@ -293,22 +293,32 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     return cdist(a, b)
 
 
+def _slice_rows(m: int, n: int) -> int:
+    """Rows per slice of an (m, n) block in :func:`_row_sliced`, or m itself
+    when the block is one slice: ``_slice_rows(m, n) < m`` exactly when it
+    takes more. The one rule for the slice bound."""
+    step = max(4, (_BLOCK_ENTRIES // n - 1) // 4 * 4)
+    return m if m <= step + 1 else step
+
+
 def _row_sliced(block, m: int, n: int) -> np.ndarray:
     """The m values of a product of an (m, n) kernel block with weights, one
     row slice at a time: ``block(a, b)`` returns rows a:b times the weights.
 
-    The slices give the bits of one product over the whole block. OpenBLAS
-    multiplies a matrix by a vector in groups of 4 rows and takes the rows
-    left over with kernels that sum in another order, and numpy sends a
-    single row to a dot product. So a slice is a multiple of 4 rows, as many
-    as fit in :data:`_BLOCK_ENTRIES` entries with one row to spare (4 at
+    The slices give the bits of one product over the whole block.
+    ``ndarray.dot`` and ``@`` both send a matrix times a vector to BLAS
+    gemv, with the same bits, and a single row to a dot product. OpenBLAS's
+    gemv takes rows in groups of 4 and the rows left over with kernels that
+    sum in another order. So a slice is a multiple of 4 rows, as many as
+    fit in :data:`_BLOCK_ENTRIES` entries with one row to spare (4 at
     least), and a last single row joins the slice before it: each row meets
-    the kernel it meets in the one product. A slice is too small for OpenBLAS
-    to split across threads, so the bits are those of the one product on one
-    thread, whatever the thread count.
+    the kernel it meets in the one product. A slice is too small for
+    OpenBLAS to split across threads, so the bits are those of the one
+    product on one thread, whatever the thread count. :func:`_slice_rows`
+    holds the rule.
     """
-    step = max(4, (_BLOCK_ENTRIES // n - 1) // 4 * 4)
-    if m <= step + 1:      # one slice: its values, with no copy into an output
+    step = _slice_rows(m, n)
+    if step == m:          # one slice: its values, with no copy into an output
         return block(0, m)
     out, a = np.empty(m), 0
     for b in range(step, m - 1, step):

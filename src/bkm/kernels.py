@@ -19,16 +19,17 @@ absolute, with no cancellation in the derivative near the origin.
 
 Every dense kernel block is one output buffer of the block's shape, filled
 by in-place ufuncs (``out=``). ``phi_hat`` needs no other block-sized array
-(given ``out=r``, not even its own), only the square root of one slice of
-at most 8192 entries (64 KB of float64) at a time; ``phi_hat_normal`` needs
-one more block (s) and ``phi`` two more; ``normal_derivative`` negates and
-scales the derivative's own array. The cube s^3 is formed as q * sqrt(q)
-with q = r^2 + c^2: ``sqrt`` and ``*`` are correctly rounded, so a scalar,
-a 0-d array and an entry of any block give the same bits on every IEEE
-host, where ``pow`` need not. The in-place forms apply the same
-floating-point operations in the same order as the plain expressions in
-the docstrings, so they give the same bits. A 0-d or scalar radius still
-returns a numpy scalar, as a plain expression on it would.
+(given ``out=r``, not even its own, and then it checks r alone), only the
+square root of one slice of at most 8192 entries (64 KB of float64) at a
+time; ``phi_hat_normal`` needs one more block (s) and ``phi`` two more;
+``normal_derivative`` negates and scales the derivative's own array. The
+cube s^3 is formed as q * sqrt(q) with q = r^2 + c^2: ``sqrt`` and ``*``
+are correctly rounded, so a scalar, a 0-d array and an entry of any block
+give the same bits on every IEEE host, where ``pow`` need not. The
+in-place forms apply the same floating-point operations in the same order
+as the plain expressions in the docstrings, so they give the same bits.
+A 0-d or scalar radius still returns a numpy scalar, as a plain
+expression on it would.
 
 A block-sized temporary can cost more than its arithmetic: allocated and
 freed on every call, it can move glibc's heap top or take fresh mmap
@@ -52,9 +53,11 @@ from scipy import special
 
 def _validated_radius(r):
     arr = np.asarray(r, dtype=float)
-    # one min/max pass (NaN fails both comparisons); the detailed check that
-    # picks the message runs only on failure
-    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+    # one min and one max over all axes (NaN fails both comparisons), as
+    # ufunc reduces, which run no Python frame where arr.min() runs one; the
+    # detailed check that picks the message runs only on failure
+    if arr.size and not (np.minimum.reduce(arr, None) >= 0.0
+                         and np.maximum.reduce(arr, None) < np.inf):
         if not np.isfinite(arr).all():
             raise ValueError("radius must be finite")
         raise ValueError("radius must be non-negative")
@@ -139,7 +142,10 @@ _CUBE_SLICE = 8192
 def _s_cubed(q):
     """s^3 = q * sqrt(q) in place over the C-contiguous q, one slice of at
     most ``_CUBE_SLICE`` entries at a time, so that the square root's
-    temporary stays small."""
+    temporary stays small; a q that fits one slice is taken whole."""
+    if q.size <= _CUBE_SLICE:
+        q *= np.sqrt(q)
+        return q
     flat = q.reshape(-1)
     for lo in range(0, flat.size, _CUBE_SLICE):
         part = flat[lo:lo + _CUBE_SLICE]
@@ -183,7 +189,7 @@ class KernelPair:
         return arr if arr.dtype.kind == "f" else arr.astype(float)
 
     def _q(self, r, out):
-        """q = r*r + c*c into ``out``; r has been through _float_like."""
+        """q = r*r + c*c into ``out``; r is a float array (see _float_like)."""
         np.multiply(r, r, out=out)
         out += self.shape * self.shape
         return out
@@ -197,11 +203,14 @@ class KernelPair:
         """q * sqrt(q), q = r*r + c*c. ``out``, if given, is a C-contiguous
         array of r's shape and float dtype, r itself allowed; it is
         returned, as a ufunc returns its ``out``."""
-        r = self._float_like(r)
         if out is None:
+            r = self._float_like(r)
             return _scalar_or_array(_s_cubed(self._q(r, np.empty(r.shape, r.dtype))))
-        if not (isinstance(out, np.ndarray) and out.shape == r.shape
-                and out.dtype == r.dtype and out.flags.c_contiguous):
+        if out is not r:      # given out=r, the checks on out check r
+            r = self._float_like(r)
+        if not (isinstance(out, np.ndarray) and out.dtype.kind == "f"
+                and out.flags.c_contiguous
+                and (out is r or out.shape == r.shape and out.dtype == r.dtype)):
             raise ValueError("out must be a C-contiguous array of the "
                              "radii's shape and float dtype")
         return _s_cubed(self._q(r, out))

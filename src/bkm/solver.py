@@ -228,10 +228,15 @@ def _boundary_data(problem: ProblemSpec, knots: KnotSet) -> np.ndarray:
 def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     """Boundary ``data`` less the boundary operator on u_p at the boundary
     knots of ``fit``, over row slices (:func:`bkm.geometry._row_sliced`)
-    whose distances come from :meth:`KnotSet.distances_at`."""
-    knots, radial = fit.knots, (fit.kernel.phi_hat, fit.kernel.phi_hat_normal)
+    whose distances come from :meth:`KnotSet.distances_at`. A fresh slice
+    of distances (writeable; a held matrix's view is not) takes ``phi_hat``
+    in place."""
+    knots, kernel = fit.knots, fit.kernel
+    radial = (lambda r: kernel.phi_hat(r, out=r if r.flags.writeable else None),
+              kernel.phi_hat_normal)
     return data - _row_sliced(lambda a, b: _boundary_operator(
-        radial, knots, np.s_[a:b], np.s_[:]) @ fit.alpha, knots.n_boundary, knots.size)
+        radial, knots, np.s_[a:b], np.s_[:]).dot(fit.alpha),
+        knots.n_boundary, knots.size)
 
 
 def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
@@ -384,12 +389,16 @@ def solve_nonlinear_boundary_only(problem: ProblemSpec, knots: KnotSet,
 def evaluate(solution: BkmSolution, x):
     """Field value u = v + u_p at a point or an (m, d) array of points."""
     knots, fit, gs = solution.knots, solution.drm_fit, solution.general_solution
-    # J0 reads the distances before phi_hat overwrites them with its block
-    return _at_points(x, knots.all_positions, lambda r: gs.value(r[:, :knots.n_boundary])
-                      @ solution.lam + fit.kernel.phi_hat(r, out=r) @ fit.alpha)
+    nb, lam, alpha = knots.n_boundary, solution.lam, fit.alpha
+    phi_hat = fit.kernel.phi_hat
+
+    def block(r):
+        # J0 reads the distances before phi_hat overwrites them with its block
+        return gs.value(r[:, :nb]).dot(lam) + phi_hat(r, out=r).dot(alpha)
+    return _at_points(x, knots.all_positions, block)
 
 
 def evaluate_homogeneous(solution: BkmSolution, x):
     """The general-solution component v alone (diagnostics and testing)."""
     return _at_points(x, solution.knots.boundary_positions,
-                      lambda r: solution.general_solution.value(r) @ solution.lam)
+                      lambda r: solution.general_solution.value(r).dot(solution.lam))

@@ -2,6 +2,7 @@
 gate every solve passes, and the input checks that guard every dense solve
 and field evaluation."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,20 +119,45 @@ def test_validated_radius_accepts_empty_and_zero():
     assert _validated_radius(0.0) == 0.0
 
 
-def test_evaluate_rejects_non_finite_query_points():
-    # (m, d) query arrays are refused before any distance is computed, also
-    # by the component evaluators, whose kernels validate nothing
+def _table1_evaluators():
+    """A 7-knot solution on table1's ellipse and its three point evaluators."""
     e = Ellipse(np.zeros(2), 2.0, 1.0)
     problem = ProblemSpec(forcing=lambda p: p[:, 0],
                           dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0])
     solution = solve_linear(problem, ellipse_knots(e, 7), mq_pair(3.0))
     evaluators = (solver.evaluate, solver.evaluate_homogeneous,
                   lambda sol, x: evaluate_particular(sol.drm_fit, x))
+    return solution, evaluators
+
+
+def test_evaluate_rejects_non_finite_query_points():
+    # (m, d) query arrays are refused, also by the component evaluators,
+    # whose kernels validate nothing, naming the coordinates
+    solution, evaluators = _table1_evaluators()
     for evaluator in evaluators:
         for bad in ([[np.nan, 0.0]], [[0.0, np.inf]],
                     [[np.nan, 0.0], [0.5, 0.1]], [[0.5, 0.1], [0.0, -np.inf]]):
             with pytest.raises(ValueError, match="point coordinates must be finite"):
                 evaluator(solution, bad)
+
+
+def test_evaluate_rejects_points_whose_distances_overflow():
+    # finite coordinates whose distances to the knots overflow to inf are
+    # refused by every evaluator, one point or many, in one block or in
+    # row slices, with no numpy warning on the way
+    solution, evaluators = _table1_evaluators()
+    far = [1e200, 0.0]
+    many = np.zeros((5000, 2))
+    many[4321] = far
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluator in evaluators:
+            for bad in (far, [far], [[0.5, 0.1], far], many):
+                with pytest.raises(ValueError, match=re.escape(
+                        "distances from point (1e+200, 0) to the knots overflow")):
+                    evaluator(solution, bad)
+            # far points whose distances and kernels stay finite evaluate
+            assert np.isfinite(evaluator(solution, [[1e100, 0.0]])).all()
 
 
 def wilkinson(n):

@@ -191,7 +191,12 @@ def test_boundary_rhs_in_slices_is_the_one_block_product(make_knots, nb, step,
         assert solver._boundary_rhs(data, fit).tobytes() == expected.tobytes()
 
     # field evaluation and the constrained fit take the same slices at m
-    # points: none, or two whole slices and a last of 1 (joined), 2, 3 or 4
+    # points: none, or two whole slices and a last of 1 (joined), 2, 3 or 4.
+    # Up to rows + 1 points are one block, whose products are ndarray.dot
+    # where the whole-block oracles use @: 1 point, rows, rows + 1, and the
+    # most points whose block fits in _BLOCK_ENTRIES entries, which are
+    # sliced. The J0 block of evaluate is a column slice (the knots carry
+    # interior columns), so it is not contiguous.
     gs = GeneralSolution(ks.dimension)
     lam, beta = rng.standard_normal(nb), rng.standard_normal(ks.size + 1)
     sol = BkmSolution(lam=lam, drm_fit=DrmFit(alpha=alpha, kernel=kernel, knots=ks),
@@ -213,20 +218,26 @@ def test_boundary_rhs_in_slices_is_the_one_block_product(make_knots, nb, step,
          + beta[-1] * psi(p))]
     for sliced, columns, whole in products:
         rows = max(4, (geometry._BLOCK_ENTRIES // len(columns) - 1) // 4 * 4)
-        pts = 0.5 * rng.standard_normal((2 * rows + 4, ks.dimension))
-        for m in (0, 2 * rows + 1, 2 * rows + 2, 2 * rows + 3, 2 * rows + 4):
+        fits = geometry._BLOCK_ENTRIES // len(columns)
+        pts = 0.5 * rng.standard_normal((max(2 * rows + 4, fits), ks.dimension))
+        for m in (0, 1, rows, rows + 1, fits,
+                  2 * rows + 1, 2 * rows + 2, 2 * rows + 3, 2 * rows + 4):
             assert_bit_identical(sliced(pts[:m]), whole(pts[:m]))
         assert_bit_identical(sliced(pts[0]), float(whole(pts[:1])[0]))
 
 
 def test_boundary_rhs_holds_no_knot_by_knot_block():
-    # the whole 1000 x 1000 u_p block would take 8 MB; one slice takes
-    # at most _BLOCK_ENTRIES entries
+    # the whole 1000 x 1000 u_p block would take 8 MB; a Dirichlet set past
+    # the cut computes each slice's distances afresh and phi_hat overwrites
+    # them, so one slice, one slice of the cube's square root, the output
+    # and small buffers are all that live at once
     ks = ellipse_knots(ELL_WIDE, 1000)
     rng = np.random.default_rng(5)
     fit = DrmFit(alpha=rng.standard_normal(ks.size), kernel=mq_pair(3.0), knots=ks)
     data = rng.standard_normal(ks.n_boundary)
-    assert allocation_peak(lambda: solver._boundary_rhs(data, fit)) < 2**20
+    slice_bytes = geometry._slice_rows(ks.n_boundary, ks.size) * ks.size * 8
+    budget = slice_bytes + kernels._CUBE_SLICE * 8 + data.nbytes + 16 * 1024
+    assert allocation_peak(lambda: solver._boundary_rhs(data, fit)) <= budget
 
 
 @pytest.mark.parametrize("make_knots, frm_k", [
@@ -399,9 +410,9 @@ def test_solve_evaluates_kernels_on_boundary_rows_only(monkeypatch):
     def count(owner, name, r_arg):
         fn = getattr(owner, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             entries[name] = entries.get(name, 0) + np.size(args[r_arg])
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, spy)
 
     count(kernels, "bessel_j0", 0)

@@ -20,7 +20,7 @@ does an illegal-argument ``info``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -34,10 +34,10 @@ COND_LIMIT = 1e14
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SolveRecord:
+class SolveRecord(NamedTuple):
     """Diagnostics for one factorisation: its 1-norm condition estimate (None
-    for a sparse one) and the largest backward error ``eta`` of its solves."""
+    for a sparse one) and the largest backward error ``eta`` of its solves;
+    a named tuple, which builds in half a frozen dataclass's time."""
 
     label: str
     size: int
@@ -53,17 +53,19 @@ def checked_solve(solve, matrix, norm, rhs, label, condition=None):
     :class:`IllConditionedError` naming ``label`` and carrying ``condition``.
     A non-finite x raises ``LinAlgError`` before eta is formed.
     """
-    rhs_norm = np.abs(rhs).max(axis=0)
+    # column maxima by ufunc reduces (ndarray.max adds a Python frame)
+    rhs_norm = np.maximum.reduce(np.abs(rhs), 0)
     x = solve(rhs)
     for may_refine in (True, False):
-        x_norm = np.abs(x).max(axis=0)
-        if not (x_norm < np.inf).all():        # an inf or a NaN in x
+        x_norm = np.maximum.reduce(np.abs(x), 0)
+        if not np.maximum.reduce(x_norm, None, initial=0.0) < np.inf:  # inf or NaN
             raise np.linalg.LinAlgError(f"{label} solve produced non-finite values")
-        resid = rhs - matrix @ x
+        resid = rhs - matrix.dot(x)
         scale = norm * x_norm + rhs_norm + 1e-300   # eta = 0 where x = b = 0
-        eta = (np.abs(resid).max(axis=0) / scale).max(initial=0.0)
+        # one max over all |r| / scale: division by a positive scale is monotone
+        eta = float(np.maximum.reduce(np.abs(resid) / scale, None, initial=0.0))
         if eta <= RESIDUAL_TOL:
-            return x, float(eta)
+            return x, eta
         if may_refine:
             x = x + solve(resid)
     raise IllConditionedError(f"{label} solve backward error {eta:.3e} exceeds "
@@ -82,43 +84,46 @@ class FactoredMatrix:
         # |a|_1 = |a.T|_inf for dgecon, |a|_inf for eta: dlange on the Fortran view
         # a.T, no copy. Finite when every entry is, unless a sum overflows
         anorm, self._norm_inf = lapack.dlange("I", a.T), lapack.dlange("1", a.T)
-        if not np.isfinite(anorm) and not np.isfinite(a).all():
+        if not anorm < np.inf and not np.isfinite(a).all():
             raise ValueError(f"{label} matrix must not contain infs or NaNs")
         # an exactly zero pivot (info > 0) surfaces as IllConditionedError below
         self._lu, self._piv, info = lapack.dgetrf(a)
-        _check_info("dgetrf", info)
-        rcond, info = lapack.dgecon(self._lu, anorm, norm="1")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        rcond, info = lapack.dgecon(self._lu, anorm, "1")
         if info != 0:
             raise np.linalg.LinAlgError(f"condition estimation failed (info={info})")
         self.condition = float(1.0 / rcond) if rcond > 0 else np.inf
-        if not np.isfinite(self.condition) or self.condition > COND_LIMIT:
+        if not self.condition <= COND_LIMIT:      # inf included
             raise IllConditionedError(
                 f"{label} of size {a.shape[0]} is numerically rank-deficient",
                 self.condition)
 
     def record(self) -> SolveRecord:
-        return SolveRecord(label=self.label, size=self.size,
-                           condition=self.condition, eta=self.eta)
+        return SolveRecord(self.label, self.size, self.condition, self.eta)
 
     def solve(self, rhs):
-        """Solve A x = rhs for one right-hand side or a matrix of them."""
+        """Solve A x = rhs for one right-hand side or a matrix of them.
+
+        An inf or a NaN in rhs raises ``ValueError``: LU substitution carries
+        it into x, whose check in :func:`checked_solve` fails; then rhs is read."""
         b = np.asarray(rhs, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.size:
             raise ValueError(f"right-hand side of shape {b.shape} does not fit "
                              f"a {self.size} x {self.size} {self.label}")
-        if not np.isfinite(b).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
-        x, eta = checked_solve(self._lu_solve, self.matrix, self._norm_inf, b,
-                               self.label, self.condition)
+        try:
+            x, eta = checked_solve(self._lu_solve, self.matrix, self._norm_inf, b,
+                                   self.label, self.condition)
+        except np.linalg.LinAlgError:
+            if not np.isfinite(b).all():
+                raise ValueError(
+                    "right-hand side must not contain infs or NaNs") from None
+            raise
         self.eta = max(self.eta, eta)
         return x
 
     def _lu_solve(self, b):
         x, info = lapack.dgetrs(self._lu, self._piv, b)
-        _check_info("dgetrs", info)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
         return x
-
-
-def _check_info(routine, info):
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")

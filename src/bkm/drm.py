@@ -7,7 +7,7 @@ particular-solution basis ``phi_hat`` and its normal derivative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -24,16 +24,16 @@ def build_interpolation_matrix(knots: KnotSet, kernel: KernelPair) -> np.ndarray
     constructor has already refused coincident knots, which would make the
     matrix singular.
     """
-    return kernel.phi(knots.distances_at(np.s_[:], np.s_[:]), dimension=knots.dimension)
+    return kernel.phi(knots.distances_at(slice(None), slice(None)),
+                      dimension=knots.dimension)
 
 
-@dataclass(frozen=True)
-class DrmFit:
+class DrmFit(NamedTuple):
     """Particular-solution expansion coefficients over a knot set.
 
     The solver fits ``alpha`` by one factorisation of
     :func:`build_interpolation_matrix`; that factorisation's condition
-    estimate is recorded in ``BkmSolution.diagnostics``.
+    estimate is recorded in ``BkmSolution.diagnostics``. A named tuple.
     """
 
     alpha: np.ndarray

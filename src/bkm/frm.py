@@ -37,8 +37,7 @@ class SparseSystem:
         return self.matrix.shape[0]
 
     def record(self) -> SolveRecord:
-        return SolveRecord(label=self.label, size=self.size, condition=None,
-                           eta=self.eta)
+        return SolveRecord(self.label, self.size, None, self.eta)
 
 
 def truncate_system(matrix, rhs, knots: KnotSet, k: int,

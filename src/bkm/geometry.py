@@ -66,17 +66,19 @@ class Ellipse:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "semi_major", a)
         object.__setattr__(self, "semi_minor", b)
+        object.__setattr__(self, "_point_axes", np.array([a, b]))   # scale (cos t, sin t)
+        object.__setattr__(self, "_normal_axes", np.array([b, a]))
 
     def boundary(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Boundary points center + (a cos t, b sin t) at the 1-d parameter
         values t, and their outward unit normals, proportional to
         (b cos t, a sin t); both (len(t), 2)."""
         trig = np.empty((len(t), 2))
-        trig[:, 0] = np.cos(t)
-        trig[:, 1] = np.sin(t)
-        positions = trig * (self.semi_major, self.semi_minor)
+        np.cos(t, out=trig[:, 0])
+        np.sin(t, out=trig[:, 1])
+        positions = trig * self._point_axes
         positions += self.center
-        normals = trig * (self.semi_minor, self.semi_major)
+        normals = trig * self._normal_axes
         normals /= _row_norms(normals)[:, None]
         return positions, normals
 
@@ -130,7 +132,7 @@ class KnotSet:
 
     def __init__(self, boundary_positions, boundary_normals, dirichlet_count=None,
                  interior=None):
-        # private copies: these arrays are frozen below
+        # private copies, frozen below; interior knots join a second, (N+L, d) one
         bp = np.array(boundary_positions, dtype=float, ndmin=2)
         bn = np.array(boundary_normals, dtype=float, ndmin=2)
         if bp.shape[0] < 1:
@@ -139,38 +141,41 @@ class KnotSet:
             raise ValueError(f"knot dimension must be 2 or 3, got {bp.shape[1]}")
         if bn.shape != bp.shape:
             raise ValueError("boundary_normals must match boundary_positions in shape")
-        if not (np.isfinite(bp).all() and np.isfinite(bn).all()):
-            raise ValueError("knot coordinates and normals must be finite")
-        if (np.abs(_row_norms(bn) - 1.0) > UNIT_TOL).any():
+        # a normal holding an inf or a NaN fails the length check too
+        if not (_all_finite(bp)
+                and np.maximum.reduce(np.abs(_row_norms(bn) - 1.0), None) <= UNIT_TOL):
+            if not (_all_finite(bp) and _all_finite(bn)):
+                raise ValueError("knot coordinates and normals must be finite")
             raise ValueError("all boundary normals must have unit length")
 
         if interior is None:
-            ip = np.empty((0, bp.shape[1]))
+            allp = bp
         else:
-            ip = np.array(interior, dtype=float)
+            ip = np.array(interior, dtype=float, copy=None)
             ip = ip.reshape(0, bp.shape[1]) if ip.size == 0 else np.atleast_2d(ip)
             if ip.shape[1] != bp.shape[1]:
                 raise ValueError("interior knots must match the boundary dimension")
-            if not np.isfinite(ip).all():
+            if not _all_finite(ip):
                 raise ValueError("interior coordinates must be finite")
+            allp = np.concatenate((bp, ip))
 
         dc = bp.shape[0] if dirichlet_count is None else \
             _checked_count(dirichlet_count, "dirichlet_count", 0, bp.shape[0])
 
-        allp = np.concatenate((bp, ip))
-        for arr in (bp, bn, ip, allp):
+        for arr in (allp, bn):
             arr.setflags(write=False)
-        self._boundary_positions = bp
+        self._boundary_positions = allp[:len(bp)]    # read-only views of allp
         self._boundary_normals = bn
-        self._interior = ip
+        self._interior = allp[len(bp):]
         self._all = allp
+        self._n_boundary, self._size = len(bp), len(allp)
         self._dirichlet_count = dc
         # what is derived from the positions alone, formed once and shared
         # with with_dirichlet_count twins: "distances" (the constructor's,
         # up to the cut), "tree" (the k-d tree) and k -> neighbours(k)
         self._kept = {}
         if allp.shape[0] ** 2 <= _BLOCK_ENTRIES:
-            dists = pairwise_distances(allp, allp)
+            dists = cdist(allp, allp)     # pairwise_distances; dimensions match
             _check_pairwise_distinct(dists)
             dists.setflags(write=False)
             self._kept["distances"] = dists
@@ -238,19 +243,19 @@ class KnotSet:
 
     @property
     def neumann_count(self) -> int:
-        return self.n_boundary - self._dirichlet_count
+        return self._n_boundary - self._dirichlet_count
 
     @property
     def n_boundary(self) -> int:
-        return self._boundary_positions.shape[0]
+        return self._n_boundary
 
     @property
     def n_interior(self) -> int:
-        return self._interior.shape[0]
+        return self._size - self._n_boundary
 
     @property
     def size(self) -> int:
-        return self.n_boundary + self.n_interior
+        return self._size
 
     @property
     def dimension(self) -> int:
@@ -388,12 +393,17 @@ def _checked_count(value, name: str, lo: int, hi=np.inf) -> int:
     return int(count)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, by one ufunc reduce (NaN fails)."""
+    return np.maximum.reduce(np.abs(a), None, initial=0.0) < np.inf
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis: the squares summed in coordinate
     order, then one square root. That is ``np.linalg.norm(v, axis=-1)``
     without its dispatch, and, for a difference of two points, the bits of
     :func:`pairwise_distances`."""
-    return np.sqrt(np.square(v).sum(axis=-1))
+    return np.sqrt(np.add.reduce(np.square(v), -1))
 
 
 def _check_pairwise_distinct(dists: np.ndarray):

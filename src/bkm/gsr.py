@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._linalg import FactoredMatrix
-from .geometry import _checked_count, _row_sliced, pairwise_distances
+from .drm import _at_points
+from .geometry import _checked_count, pairwise_distances
 
 #: The callables each kind needs besides g; its keys are ``KINDS``.
 _REQUIRED = {"interior": (), "dirichlet": ("dirichlet", "g_dr"),
@@ -192,13 +193,16 @@ def constrained_interpolate(nodes, kernel: GsrKernel, psi: Callable,
 
 
 def evaluate_constrained(fit: ConstrainedFit, x):
-    """The constrained representation at a point (a float) or (m, d) points."""
+    """The constrained representation at a point (a float) or (m, d) points,
+    its kernel terms over :func:`bkm.drm._at_points`'s checked blocks."""
     p = np.asarray(x, dtype=float)
     if p.ndim > 2 or not np.isfinite(p).all():
         raise ValueError("expected a point or (m, d) points, with finite coordinates")
     pts, nodes = np.atleast_2d(p), fit.nodes
-    u = fit.beta[-1] * _on_points(fit.psi, pts) + _row_sliced(lambda a, b: fit.kernel(
-        pairwise_distances(pts[a:b], nodes), nodes) @ fit.beta[:-1], len(pts), len(nodes))
+    if pts.shape[1] != nodes.shape[1]:
+        raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {nodes.shape[1]}")
+    terms = _at_points(pts, nodes, lambda r: fit.kernel(r, nodes) @ fit.beta[:-1])
+    u = fit.beta[-1] * _on_points(fit.psi, pts) + terms
     return float(u[0]) if p.ndim < 2 else u
 
 

@@ -176,7 +176,7 @@ class KernelPair:
 
     def __post_init__(self):
         c = float(self.shape)
-        if not (np.isfinite(c) and c > 0.0):
+        if not 0.0 < c < np.inf:         # NaN fails both comparisons
             raise ValueError(f"expected a finite shape parameter above 0, "
                              f"got {self.shape}")
         object.__setattr__(self, "shape", c)
@@ -188,9 +188,9 @@ class KernelPair:
         arr = np.asarray(r)
         return arr if arr.dtype.kind == "f" else arr.astype(float)
 
-    def _q(self, r, out):
-        """q = r*r + c*c into ``out``; r is a float array (see _float_like)."""
-        np.multiply(r, r, out=out)
+    def _q(self, r, out=None):
+        """q = r*r + c*c into ``out`` or a fresh array; r is from _float_like."""
+        out = np.multiply(r, r, out=out)
         out += self.shape * self.shape
         return out
 
@@ -216,19 +216,19 @@ class KernelPair:
         return _s_cubed(self._q(r, out))
 
     def phi(self, r, dimension=2):
-        # ((3 d) s + ((3 r) r) / s) + q s, term by term in that order; the
-        # last term is phi_hat's q * sqrt(q), sqrt(q) being s
+        # ((3 d) s + ((3 r) r) / s) + q s, term by term in that order, summed
+        # in s's buffer; the last term is phi_hat's q * sqrt(q), sqrt(q) being s
         r = self._float_like(r)
-        s = self._s(r)
-        out = np.multiply(s, 3.0 * dimension, out=np.empty_like(s))
-        t = np.multiply(r, 3.0, out=np.empty_like(s))
+        q = self._q(r)
+        s = np.sqrt(q)
+        t = np.multiply(r, 3.0)
         t *= r
         t /= s
-        out += t
-        t = self._q(r, t)
-        t *= s
-        out += t
-        return _scalar_or_array(out)
+        q *= s
+        s *= 3.0 * dimension
+        s += t
+        s += q
+        return _scalar_or_array(s)
 
     def phi_hat_normal(self, r, projection):
         # ((3 r) s) p

@@ -27,7 +27,7 @@ the kept pairs only, and solved by sparse LU.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import FactoredMatrix, SolveRecord
 from .drm import DrmFit, _at_points, build_interpolation_matrix
 from .frm import solve_sparse, truncate_system
-from .geometry import Ellipse, KnotSet, _normal_projections, _row_sliced
+from .geometry import Ellipse, KnotSet, _all_finite, _normal_projections, _row_sliced
 from .kernels import GeneralSolution, KernelPair
 
 
@@ -150,25 +150,28 @@ class BkmSolution:
 # Assembly
 # ---------------------------------------------------------------------------
 
+_GENERAL_SOLUTIONS = {d: GeneralSolution(d) for d in (2, 3)}   # shared by every solve
+
+
 def _boundary_operator(radial, knots: KnotSet, rows, cols):
     """The boundary operator on a radial kernel ``(value, normal_derivative)``
     at knot distances: the normal derivative at the row knot on a Neumann
     row, the value everywhere else. Two forms: a block, ``rows`` a slice of
-    the knots (a row range) and ``cols`` a slice, gives the (m, n) block;
+    the knots with a stop and ``cols`` a slice, gives the (m, n) block;
     gathered pairs, ``rows`` and ``cols`` (p,) index arrays with ``rows``
     ascending, give p entries. Knots run Dirichlet, Neumann, interior, so
-    either way the Neumann rows are one run along axis 0."""
+    either way the Neumann rows are one run lo:hi along axis 0."""
     value, normal_derivative = radial
     nd, nb = knots.dirichlet_count, knots.n_boundary
     r = knots.distances_at(rows, cols)
     if isinstance(rows, slice):   # a block: (m, 1, d) row knots against (n, d) columns
-        start, stop, _ = rows.indices(knots.size)
-        lo, hi = (min(max(x, start), stop) - start for x in (nd, nb))
-        i, j = np.s_[start + lo:start + hi, None], cols
+        start = rows.start or 0
+        lo, hi = max(nd, start) - start, min(nb, rows.stop) - start
+        i, j = (slice(start + lo, start + hi), None), cols
     else:                         # gathered pairs: (p, d) against (p, d)
         lo, hi = rows.searchsorted((nd, nb)).tolist()
         i, j = rows[lo:hi], cols[lo:hi]
-    if lo == hi:
+    if lo >= hi:
         return value(r)
     out = np.empty(r.shape)
     for a, b in ((0, lo), (hi, len(r))):    # kernels only where they are kept
@@ -193,8 +196,8 @@ def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
     """
     nb = knots.n_boundary
     return _boundary_operator((gs.value, gs.normal_derivative), knots,
-                              np.s_[:nb if boundary_only else knots.size],
-                              np.s_[:nb])
+                              slice(nb if boundary_only else knots.size),
+                              slice(nb))
 
 
 def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
@@ -205,7 +208,7 @@ def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
     if values.shape != (len(points),):
         raise ValueError(f"{name} must return one value per point, shape "
                          f"({len(points)},), got shape {values.shape}")
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise ValueError(f"{name} must return finite values, got "
                          f"{values[~np.isfinite(values)][0]}")
     return values
@@ -235,7 +238,7 @@ def _boundary_rhs(data: np.ndarray, fit: DrmFit) -> np.ndarray:
     radial = (lambda r: kernel.phi_hat(r, out=r if r.flags.writeable else None),
               kernel.phi_hat_normal)
     return data - _row_sliced(lambda a, b: _boundary_operator(
-        radial, knots, np.s_[a:b], np.s_[:]).dot(fit.alpha),
+        radial, knots, slice(a, b), slice(None)).dot(fit.alpha),
         knots.n_boundary, knots.size)
 
 
@@ -266,8 +269,8 @@ def _drm_rhs(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     # u is quasi-interpolated in the particular-solution basis, so the
     # operator images R pair with the phi_hat interpolation matrix B:
     # rho{u} = R B^{-1} u, and B is symmetric, so R B^{-1} = (B^{-1} R^T)^T
-    u_interp = FactoredMatrix(kernel.phi_hat(knots.distances_at(np.s_[:], np.s_[:])),
-                              label="u-interpolation")
+    all_pairs = knots.distances_at(slice(None), slice(None))
+    u_interp = FactoredMatrix(kernel.phi_hat(all_pairs), label="u-interpolation")
     coupling = u_interp.solve(images.T).T
     nb = knots.n_boundary
     rhs_u = coupling[:, nb:] if knots.n_interior > 0 else None
@@ -296,15 +299,14 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     [lambda; u_int]. Otherwise the collocation is the N boundary rows alone,
     and u_int is left for :class:`BkmSolution` to evaluate on use.
     """
-    nb = knots.n_boundary
-    gs = GeneralSolution(knots.dimension)
+    gs = _GENERAL_SOLUTIONS[knots.dimension]
     data = _boundary_data(problem, knots)
     rhs, rhs_u, u_interp = _drm_rhs(problem, knots, kernel, data)
     alpha, fit_lu = _solve_stage(
         lambda: build_interpolation_matrix(knots, kernel),
         lambda i, j: kernel.phi(knots.distances_at(i, j), dimension=knots.dimension),
         rhs, knots, frm_k, "particular-fit")
-    fit = DrmFit(alpha=alpha, kernel=kernel, knots=knots)
+    fit = DrmFit(alpha, kernel, knots)
     rhs_h = _boundary_rhs(data, fit)
     interior_u = None
     if rhs_u is None:
@@ -315,6 +317,7 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
             rhs_h, knots, frm_k, "collocation")
     else:
         # dense only: solve_* refuse frm_k with a linear rest
+        nb = knots.n_boundary
         alpha_u = fit_lu.solve(rhs_u)
         b = u_interp.matrix                   # phi_hat at the knots
         system = np.hstack([assemble_homogeneous_rows(knots, gs), b @ alpha_u])
@@ -322,12 +325,11 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
         coll_lu = FactoredMatrix(system, label="collocation")
         z = coll_lu.solve(np.concatenate([rhs_h, -b[nb:] @ alpha]))
         lam, interior_u = z[:nb], z[nb:]
-        fit = replace(fit, alpha=alpha + alpha_u @ interior_u)
+        fit = fit._replace(alpha=alpha + alpha_u @ interior_u)
 
     records = tuple(lu.record() for lu in (fit_lu, u_interp, coll_lu)
                     if lu is not None)
-    return BkmSolution(lam=lam, drm_fit=fit, general_solution=gs, knots=knots,
-                       _interior_u=interior_u, diagnostics=records)
+    return BkmSolution(lam, fit, gs, knots, interior_u, records)
 
 
 def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,

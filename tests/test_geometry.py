@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bkm.errors import DegenerateGeometryError
-from bkm.geometry import (COINCIDENT_TOL, Ellipse, KnotSet, _normal_projections,
-                          ellipse_knots, pairwise_distances)
+from bkm.geometry import (COINCIDENT_TOL, UNIT_TOL, Ellipse, KnotSet,
+                          _normal_projections, _row_norms, ellipse_knots,
+                          pairwise_distances)
 from oracles import KNOT_PATHS, every_knot_set_on
 
 coord = st.floats(min_value=-50.0, max_value=50.0,
@@ -99,6 +100,7 @@ def test_radial_distance_dimension_mismatch():
         pairwise_distances(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0, 3.0]]))
 
 
+@settings(deadline=None)
 @given(ax=coord, ay=coord, bx=coord, by=coord, cx=coord, cy=coord)
 def test_radial_distance_metric_axioms(ax, ay, bx, by, cx, cy):
     pts = np.array([[ax, ay], [bx, by], [cx, cy]])
@@ -138,6 +140,7 @@ def test_normal_projections_bit_identical_to_mask_gathers(dim, dtype):
             oracles.normal_projections(*args, tol=COINCIDENT_TOL))
 
 
+@settings(deadline=None)
 @given(ax=coord, ay=coord, sx=coord, sy=coord, angle=st.floats(0, 2 * np.pi))
 def test_normal_projection_bounded(ax, ay, sx, sy, angle):
     x, s = np.array([[ax, ay]]), np.array([[sx, sy]])
@@ -176,6 +179,36 @@ def test_knotset_rejects_non_unit_normal():
         KnotSet(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
     ks = KnotSet(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
     assert ks.boundary_positions.shape == (1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_knotset_refuses_every_non_finite_entry_before_normal_lengths(bad, dim):
+    # an inf or a nan in any coordinate or normal entry is refused as such,
+    # also when another normal is not of unit length; finite normals off
+    # unit length by more than UNIT_TOL, and no less, are refused as such
+    pos = np.arange(4.0 * dim).reshape(4, dim)
+    nor = np.eye(dim)[np.arange(4) % dim]
+    for name in ("pos", "nor"):
+        for i, j in np.ndindex(pos.shape):
+            for spoil in (False, True):
+                p, n = pos.copy(), nor.copy()
+                (p if name == "pos" else n)[i, j] = bad
+                if spoil:
+                    n[(i + 1) % 4] *= 2.0
+                with pytest.raises(ValueError, match="knot coordinates and normals "
+                                                     "must be finite"):
+                    KnotSet(p, n)
+    for scale, refused in ((1.0 + 2 * UNIT_TOL, True), (1.0 - 2 * UNIT_TOL, True),
+                           (1.0 + UNIT_TOL / 2, False), (1.0 - UNIT_TOL / 2, False)):
+        n = nor.copy()
+        n[2] *= scale
+        if refused:
+            with pytest.raises(ValueError, match="all boundary normals must have "
+                                                 "unit length"):
+                KnotSet(pos, n)
+        else:
+            assert KnotSet(pos, n).boundary_normals.tobytes() == n.tobytes()
 
 
 def test_knotset_rejects_coincident_knots():
@@ -355,6 +388,7 @@ def lattice_points(draw):
     return np.array(cells, dtype=float) * spacing + offset
 
 
+@settings(deadline=None)
 @given(lattice_points(), st.sampled_from(list(KNOT_PATHS)))
 def test_neighbours_are_the_brute_force_pattern_on_lattice_points(points, path):
     with every_knot_set_on(path):
@@ -416,6 +450,7 @@ def _block_examples():
 BLOCKS = _block_examples()
 
 
+@settings(deadline=None)
 @given(point_set_pairs())
 @example(BLOCKS[0])
 @example(BLOCKS[1])
@@ -505,6 +540,7 @@ def test_ellipse_validation():
             Ellipse(np.zeros(2), a, b)
 
 
+@settings(deadline=None)
 @given(ellipses, angles)
 def test_boundary_points_on_the_ellipse_with_unit_outward_normals(e, t):
     positions, normals = e.boundary(t)
@@ -515,6 +551,20 @@ def test_boundary_points_on_the_ellipse_with_unit_outward_normals(e, t):
     assert not e.contains(positions + 1e-6 * e.semi_major * normals).any()
 
 
+@settings(deadline=None)
+@given(ellipses, angles)
+def test_boundary_is_the_plain_expressions_byte_for_byte(e, t):
+    # the in-place forms give the bits of the plain expressions
+    trig = np.column_stack((np.cos(t), np.sin(t)))
+    normals = trig * (e.semi_minor, e.semi_major)
+    positions, unit = e.boundary(t)
+    plain = e.center + trig * (e.semi_major, e.semi_minor)
+    assert positions.tobytes() == plain.tobytes()
+    assert unit.tobytes() == (normals / _row_norms(normals)[:, None]).tobytes()
+    assert positions.shape == unit.shape == (len(t), 2)
+
+
+@settings(deadline=None)
 @given(ellipses, st.integers(0, 30), st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
 def test_interior_samples_strictly_inside_and_reproducible(e, n, seed, shrink):
     pts = e.interior_samples(n, seed, shrink)

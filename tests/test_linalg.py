@@ -13,6 +13,7 @@ from bkm._linalg import FactoredMatrix
 from bkm.drm import evaluate_particular
 from bkm.errors import IllConditionedError
 from bkm.geometry import Ellipse, ellipse_knots
+from bkm.gsr import GsrKernel, constrained_interpolate, evaluate_constrained
 from bkm.kernels import _validated_radius, mq_pair
 from bkm.solver import ProblemSpec, solve_linear
 from oracles import allocation_peak, mp_solve
@@ -77,10 +78,21 @@ def test_non_finite_matrix_raises(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rhs_raises(bad):
-    a, b = well_conditioned(5, seed=2)
-    b[2] = bad
-    with pytest.raises(ValueError, match="right-hand side must not contain infs"):
-        FactoredMatrix(a).solve(b)
+    # b is examined only once its solution fails the finiteness check, so an
+    # inf or a nan anywhere in a 1-d or 2-d b must reach x: on full, diagonal
+    # and triangular factors alike, whose zero multipliers turn inf into nan
+    n = 5
+    a, _ = well_conditioned(n, seed=2)
+    for matrix in (a, np.diag(np.arange(1.0, n + 1)), np.triu(a) + n * np.eye(n),
+                   np.tril(a) + n * np.eye(n)):
+        f = FactoredMatrix(matrix)
+        for shape in ((n,), (n, 3)):
+            for index in np.ndindex(shape):
+                b = np.ones(shape)
+                b[index] = bad
+                with pytest.raises(ValueError, match=re.escape(
+                        "right-hand side must not contain infs or NaNs")):
+                    f.solve(b)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["non-square", "empty"])
@@ -144,8 +156,13 @@ def test_evaluate_rejects_non_finite_query_points():
 def test_evaluate_rejects_points_whose_distances_overflow():
     # finite coordinates whose distances to the knots overflow to inf are
     # refused by every evaluator, one point or many, in one block or in
-    # row slices, with no numpy warning on the way
+    # row slices, with no numpy warning on the way; the constrained GSR
+    # evaluator, whose cos kernel would turn inf into nan, among them
     solution, evaluators = _table1_evaluators()
+    nodes = solution.knots.boundary_positions
+    gsr_fit = constrained_interpolate(nodes, GsrKernel("simple", np.cos),
+                                      lambda p: 1.0, np.sin(nodes[:, 0]))
+    evaluators += (lambda sol, x: evaluate_constrained(gsr_fit, x),)
     far = [1e200, 0.0]
     many = np.zeros((5000, 2))
     many[4321] = far

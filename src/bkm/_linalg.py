@@ -1,9 +1,9 @@
-"""Checked linear solves: dense LU with a 1-norm condition estimate, and one
-backward-error gate for every dense and sparse stage.
+"""Checked linear solves: one 1-norm condition gate and one backward-error
+gate for every dense and sparse stage.
 
 Multiquadric collocation matrices are notoriously ill-conditioned, so every
-dense factorisation estimates its condition and raises
-:class:`IllConditionedError` instead of returning noise past ``COND_LIMIT``.
+factorisation (dense: ``dgecon``; sparse: :func:`inverse_norm_estimate`)
+estimates its condition and refuses past ``COND_LIMIT``.
 Every solve then passes :func:`checked_solve`, which measures the normwise
 backward error (Rigal & Gaches, J. ACM 14, 1967). LU with partial pivoting
 keeps it near eps unless its pivots grow large (Higham, *Accuracy and
@@ -35,9 +35,9 @@ RESIDUAL_TOL = 1e-9
 
 
 class SolveRecord(NamedTuple):
-    """Diagnostics for one factorisation: its 1-norm condition estimate (None
-    for a sparse one) and the largest backward error ``eta`` of its solves;
-    a named tuple, which builds in half a frozen dataclass's time."""
+    """Diagnostics for one factorisation: its 1-norm condition estimate and
+    the largest backward error ``eta`` of its solves; a named tuple, which
+    builds in half a frozen dataclass's time."""
 
     label: str
     size: int
@@ -45,7 +45,34 @@ class SolveRecord(NamedTuple):
     eta: float
 
 
-def checked_solve(solve, matrix, norm, rhs, label, condition=None):
+def check_condition(condition, label, size):
+    """Refuse the ``label`` stage past ``COND_LIMIT`` (inf and NaN included)."""
+    if not condition <= COND_LIMIT:
+        raise IllConditionedError(
+            f"{label} of size {size} is numerically rank-deficient", condition)
+
+
+def inverse_norm_estimate(solve, solve_transposed, n):
+    """Hager-Higham lower bound on |A^-1|_1 from ``solve(b)`` = A^-1 b and
+    ``solve_transposed(b)`` = A^-T b: LAPACK ``dlacn2``'s deterministic
+    iteration, which scipy does not expose (Higham, ACM TOMS 14, 1988)."""
+    y = solve(np.full(n, 1.0 / n))
+    est, sign = np.abs(y).sum(), np.where(y >= 0.0, 1.0, -1.0)
+    j = np.abs(solve_transposed(sign)).argmax()
+    for _ in range(4):                  # dlacn2's ITMAX = 5 sweeps in all
+        y = solve(np.eye(1, n, j)[0])   # column j of A^-1
+        est_old, est, new_sign = est, np.abs(y).sum(), np.where(y >= 0.0, 1.0, -1.0)
+        if est <= est_old or (new_sign == sign).all():
+            break
+        sign, z = new_sign, solve_transposed(new_sign)
+        j_last, j = j, np.abs(z).argmax()
+        if z[j_last] == abs(z[j]):
+            break
+    alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
+    return float(max(est, 2.0 * np.abs(solve(alternating)).sum() / (3 * n)))
+
+
+def checked_solve(solve, matrix, norm, rhs, label, condition):
     """``solve(rhs)`` and its normwise backward error
     eta = |b - A x| / (|A| |x| + |b|) in the infinity norm, the largest over
     the columns of a matrix ``rhs``; ``norm`` is |A|. Refines once in float64
@@ -94,10 +121,7 @@ class FactoredMatrix:
         if info != 0:
             raise np.linalg.LinAlgError(f"condition estimation failed (info={info})")
         self.condition = float(1.0 / rcond) if rcond > 0 else np.inf
-        if not self.condition <= COND_LIMIT:      # inf included
-            raise IllConditionedError(
-                f"{label} of size {a.shape[0]} is numerically rank-deficient",
-                self.condition)
+        check_condition(self.condition, label, self.size)
 
     def record(self) -> SolveRecord:
         return SolveRecord(self.label, self.size, self.condition, self.eta)

@@ -346,8 +346,8 @@ def solve_linear(problem: ProblemSpec, knots: KnotSet, kernel: KernelPair,
     are mapped through.
 
     ``frm_k`` truncates both systems to each row's k nearest knots and solves
-    them by sparse LU, whose records carry no condition estimate; it needs
-    boundary knots only and no linear rest.
+    them by sparse LU, gated like the dense stages (a Hager-Higham condition
+    estimate); it needs boundary knots only and no linear rest.
     """
     if isinstance(problem.rho, RhoBoundaryNonlinear):
         raise ValueError("nonlinear remaining operators take the "

@@ -148,7 +148,7 @@ def test_criterion_08_frm_consistency():
     matrix = build_interpolation_matrix(knots, pair)
     rhs = matrix @ np.random.default_rng(8).uniform(-1.0, 1.0, 20)
     dense_x = FactoredMatrix(matrix).solve(rhs)
-    sparse_x = solve_sparse(truncate_system(matrix, rhs, knots, 20))
+    sparse_x = solve_sparse(truncate_system(lambda i, j: matrix[i, j], rhs, knots, 20))
     full_diff = np.max(np.abs(sparse_x - dense_x))
 
     # widening the support must not increase the interpolant error
@@ -158,10 +158,10 @@ def test_criterion_08_frm_consistency():
     fvals = np.sin(bp[:, 0]) + bp[:, 0] * bp[:, 1]
     grid = ELL1.interior_samples(40, seed=0)
     basis = pair.phi(np.linalg.norm(grid[:, None, :] - bp[None, :, :], axis=2))
-    reference = basis @ solve_sparse(truncate_system(m50, fvals, knots50, 50))
-    errs = [np.max(np.abs(basis @ solve_sparse(truncate_system(m50, fvals,
-                                                               knots50, k))
-                          - reference))
+    reference = basis @ solve_sparse(
+        truncate_system(lambda i, j: m50[i, j], fvals, knots50, 50))
+    errs = [np.max(np.abs(basis @ solve_sparse(
+        truncate_system(lambda i, j: m50[i, j], fvals, knots50, k)) - reference))
             for k in (10, 25, 50)]
     monotone = errs[0] >= errs[1] >= errs[2]
     ok = full_diff <= 1e-10 and monotone

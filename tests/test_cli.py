@@ -77,6 +77,23 @@ def test_solver_failure_exits_one(capsys):
     assert "condition" in err
 
 
+@pytest.mark.parametrize("args", ["table1 --knots 2000 --frm 8",
+                                  "table2 --knots 50 --frm 30 --c 3",
+                                  "table2 --knots 200 --frm 32",
+                                  "table2 --knots 200 --frm 64"])
+def test_a_numerically_singular_truncated_stage_is_refused_by_name(capsys, args):
+    # a backward-stable solve of these truncated fits passes the eta gate;
+    # their condition estimates (4.0e16, 1.1e18, 1.6e15, 3.3e19) do not pass
+    # the kappa gate, and the refusal is the dense path's
+    code, out, err = run_cli(capsys, "bench", *args.split())
+    assert code == 1
+    assert out == ""
+    n = args.split()[2]
+    assert re.fullmatch(rf"solver error: particular-fit of size {n} is numerically "
+                        rf"rank-deficient \(condition estimate \d\.\d{{3}}e\+\d\d\)\n", err)
+    assert float(err.rsplit(" ", 1)[1][:-2]) > 1e14
+
+
 def test_sweep_keeps_the_blocks_that_solve(capsys):
     # table2's fit at 16 knots and c = 18 is rank-deficient
     code, out, err = run_cli(capsys, "sweep", "table2", "--knots", "9,16")
@@ -264,4 +281,6 @@ def test_bkm_log_info_reports_each_stages_backward_error(capsys, monkeypatch, fr
     assert [line.split(": ")[1] for line in stages] == ["particular-fit", "collocation"]
     for line in stages:
         assert float(line.rsplit(" ", 1)[1]) <= 1e-9
-        assert ("condition estimate" in line) == (not frm)
+        # dense stages log dgecon's estimate, truncated ones the sparse LU's
+        condition = re.search(r", condition estimate (\S+), eta ", line)
+        assert condition and 1.0 <= float(condition[1]) <= 1e14

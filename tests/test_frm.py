@@ -108,7 +108,7 @@ def test_truncation_matches_stable_argsort_oracle(make_knots):
     dists = pairwise_distances(ks.all_positions, ks.all_positions)
     ties = 0
     for k in range(1, n + 1):
-        sparse = truncate_system(matrix, np.ones(n), ks, k)
+        sparse = truncate_system(lambda i, j: matrix[i, j], np.ones(n), ks, k)
         expected = truncation_oracle(ks, k)
         coo = sparse.matrix.tocoo()
         pattern = np.zeros((n, n), dtype=bool)
@@ -178,7 +178,7 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
                  assemble_homogeneous_rows(ks, GeneralSolution(ks.dimension)))
         assert len(systems) == 2
         for system, matrix in zip(systems, dense):
-            expected = truncate_system(matrix, system.rhs, ks, k)
+            expected = truncate_system(lambda i, j: matrix[i, j], system.rhs, ks, k)
             for name in ("data", "indices", "indptr"):
                 got, want = getattr(system.matrix, name), getattr(expected.matrix, name)
                 assert got.dtype == want.dtype
@@ -189,20 +189,20 @@ def test_solver_builds_kept_pairs_as_truncated_dense(make_knots, monkeypatch):
 
 def test_full_truncation_equals_dense_entries():
     ks, matrix, rhs = mq_system(12)
-    sparse = truncate_system(matrix, rhs, ks, 12)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 12)
     np.testing.assert_array_equal(sparse.matrix.toarray(), matrix)
 
 
 def test_k_one_keeps_only_the_diagonal():
     ks, matrix, rhs = mq_system(9, c=3.0)
-    sparse = truncate_system(matrix, rhs, ks, 1)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 1)
     np.testing.assert_array_equal(sparse.matrix.toarray(),
                                   np.diag(np.diag(matrix)))
 
 
 def test_seven_knot_neighbourhoods_match_brute_force():
     ks, matrix, rhs = mq_system(7)
-    sparse = truncate_system(matrix, rhs, ks, 3)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 3)
     pts = ks.all_positions
     dense_mat = sparse.matrix.toarray()
     for i in range(7):
@@ -218,7 +218,7 @@ def test_seven_knot_neighbourhoods_match_brute_force():
 
 def test_kept_entries_identical_no_decay():
     ks, matrix, rhs = mq_system(15)
-    sparse = truncate_system(matrix, rhs, ks, 6)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 6)
     arr = sparse.matrix.toarray()
     mask = arr != 0.0
     np.testing.assert_array_equal(arr[mask], matrix[mask])
@@ -227,19 +227,20 @@ def test_kept_entries_identical_no_decay():
 def test_sparsity_bound():
     ks, matrix, rhs = mq_system(20)
     for k in (1, 3, 7, 20):
-        sparse = truncate_system(matrix, rhs, ks, k)
+        sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, k)
         assert sparse.matrix.nnz <= k * 20
         per_row = np.diff(sparse.matrix.indptr)
         assert np.all(per_row <= k)
 
 
 def test_truncated_solve_holds_no_knot_by_knot_array():
-    # placing 2000 knots and a k = 8 solve: the 2000 x 2000 distance matrix
-    # alone would take 32 MB
+    # placing 2000 knots and a k = 7 solve: the 2000 x 2000 distance matrix
+    # alone would take 32 MB. k = 7 answers (condition estimates ~7e3); k = 8
+    # is refused at the fit (4.0e16) and would never reach the collocation
     problem = ProblemSpec(forcing=lambda p: p[:, 0],
                           dirichlet=lambda p: np.sin(p[:, 0]) + p[:, 0])
     peak = allocation_peak(
-        lambda: solve_linear(problem, ellipse_knots(ELL, 2000), mq_pair(3.0), frm_k=8))
+        lambda: solve_linear(problem, ellipse_knots(ELL, 2000), mq_pair(3.0), frm_k=7))
     assert peak < 4e6
 
 
@@ -250,7 +251,7 @@ def test_pattern_generally_asymmetric():
     ks = KnotSet(pos, normals)
     pair = mq_pair(1.0)
     matrix = build_interpolation_matrix(ks, pair)
-    plain = truncate_system(matrix, np.zeros(14), ks, 4)
+    plain = truncate_system(lambda i, j: matrix[i, j], np.zeros(14), ks, 4)
     pat = (plain.matrix.toarray() != 0)
     assert not np.array_equal(pat, pat.T)     # scattered knots: asymmetric
 
@@ -258,24 +259,22 @@ def test_pattern_generally_asymmetric():
 def test_truncate_validation():
     ks, matrix, rhs = mq_system(7)
     with pytest.raises(ValueError):
-        truncate_system(matrix, rhs, ks, 0)
+        truncate_system(lambda i, j: matrix[i, j], rhs, ks, 0)
     with pytest.raises(ValueError):
-        truncate_system(matrix, rhs, ks, 8)
-    with pytest.raises(ValueError):
-        truncate_system(matrix[:5, :5], rhs[:5], ks, 3)
+        truncate_system(lambda i, j: matrix[i, j], rhs, ks, 8)
 
 
 def test_truncate_refuses_a_fractional_k_and_records_a_whole_one():
     ks, matrix, rhs = mq_system(7)
     with pytest.raises(ValueError, match="neighbour count must be a whole number"):
-        truncate_system(matrix, rhs, ks, 2.5)
-    sparse = truncate_system(matrix, rhs, ks, 3.0)
+        truncate_system(lambda i, j: matrix[i, j], rhs, ks, 2.5)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 3.0)
     assert type(sparse.k) is int and sparse.matrix.nnz == 21
 
 
 def test_full_sparse_solve_matches_dense():
     ks, matrix, rhs = mq_system(20)
-    sparse = truncate_system(matrix, rhs, ks, 20)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 20)
     x_sparse = solve_sparse(sparse)
     x_dense = FactoredMatrix(matrix).solve(rhs)
     assert np.max(np.abs(x_sparse - x_dense)) < 1e-10
@@ -290,7 +289,7 @@ def test_sparse_solve_tolerates_stiff_but_solvable_systems():
     pair = mq_pair(18.0)
     matrix = build_interpolation_matrix(ks, pair)
     rhs = 2.0 * ks.boundary_positions[:, 1] * np.exp(ks.boundary_positions[:, 0])
-    x = solve_sparse(truncate_system(matrix, rhs, ks, 9))
+    x = solve_sparse(truncate_system(lambda i, j: matrix[i, j], rhs, ks, 9))
     assert np.all(np.isfinite(x))
     backward = np.abs(matrix) @ np.abs(x) + np.abs(rhs)
     eta = np.max(np.abs(rhs - matrix @ x) / backward)
@@ -299,7 +298,7 @@ def test_sparse_solve_tolerates_stiff_but_solvable_systems():
 
 def test_diagonal_solve():
     ks, matrix, rhs = mq_system(9, c=3.0)
-    sparse = truncate_system(matrix, rhs, ks, 1)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 1)
     x = solve_sparse(sparse)
     np.testing.assert_allclose(x, rhs / 45.0, rtol=1e-12)
 
@@ -318,10 +317,11 @@ def test_sweep_error_decreases_towards_dense():
     basis = pair.phi(np.linalg.norm(grid[:, None, :] -
                                     ks.boundary_positions[None, :, :], axis=2))
 
-    reference = basis @ solve_sparse(truncate_system(matrix, fvals, ks, n))
+    reference = basis @ solve_sparse(
+        truncate_system(lambda i, j: matrix[i, j], fvals, ks, n))
     errors = []
     for k in (10, 25, n):
-        xk = solve_sparse(truncate_system(matrix, fvals, ks, k))
+        xk = solve_sparse(truncate_system(lambda i, j: matrix[i, j], fvals, ks, k))
         errors.append(np.max(np.abs(basis @ xk - reference)))
     assert errors[0] >= errors[1] >= errors[2]
     assert errors[2] == 0.0
@@ -332,37 +332,109 @@ def test_sparse_solve_rejects_structural_singularity():
     normals = np.tile([1.0, 0.0], (2, 1))
     ks = KnotSet(pos, normals)
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])   # zero diagonal
-    sparse = truncate_system(matrix, np.ones(2), ks, 1)
+    sparse = truncate_system(lambda i, j: matrix[i, j], np.ones(2), ks, 1)
     with pytest.raises((np.linalg.LinAlgError, IllConditionedError)):
         solve_sparse(sparse)
 
 
 def test_sparse_system_records_k():
     ks, matrix, rhs = mq_system(10)
-    sparse = truncate_system(matrix, rhs, ks, 4)
+    sparse = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 4)
     assert isinstance(sparse, SparseSystem)
     assert sparse.k == 4
     assert sparse.size == 10
 
 
-def test_sparse_refusal_names_the_stage_and_no_condition(monkeypatch):
+def test_sparse_refusal_names_the_stage_and_its_condition(monkeypatch):
     ks, matrix, rhs = mq_system(10)
-    system = truncate_system(matrix, rhs, ks, 4, "collocation")
+    system = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 4, "collocation")
     monkeypatch.setattr(bkm._linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(IllConditionedError, match="collocation solve backward error") \
             as info:
         solve_sparse(system)
-    assert info.value.condition is None
-    assert "condition estimate" not in str(info.value)
+    assert info.value.condition == system.condition
+    assert f"(condition estimate {system.condition:.3e})" in str(info.value)
+    exact = np.linalg.cond(system.matrix.toarray(), 1)
+    assert exact / 5 <= system.condition <= exact * (1 + 1e-12)
+
+
+def test_a_sparse_stage_past_the_condition_limit_is_refused_as_a_dense_one():
+    # 40 knots at c = 3: the fit's kappa_1 is far past COND_LIMIT, and k = N
+    # keeps every entry; the gate refuses before any solve, as dgecon's does
+    ks = ellipse_knots(ELL, 40)
+    matrix = build_interpolation_matrix(ks, mq_pair(3.0))
+    with pytest.raises(IllConditionedError) as dense:
+        FactoredMatrix(matrix, label="particular-fit")
+    system = truncate_system(lambda i, j: matrix[i, j], np.ones(40), ks, 40,
+                             "particular-fit")
+    with pytest.raises(IllConditionedError,
+                       match=r"^particular-fit of size 40 is numerically "
+                             r"rank-deficient \(condition estimate ") as sparse:
+        solve_sparse(system)
+    assert str(sparse.value).split(" (")[0] == str(dense.value).split(" (")[0]
+    assert sparse.value.condition == system.condition > bkm._linalg.COND_LIMIT
+    assert system.eta is None
+
+
+def test_a_condition_past_the_float_range_is_inf_and_refused():
+    # |A|_1 |A^-1|_1 = 1e400: the estimate is inf with no numpy overflow
+    # warning (a warning fails this suite), and the stage is refused
+    system = SparseSystem(matrix=sp.csr_matrix(np.diag([1e200, 1e-200])),
+                          rhs=np.ones(2), k=1, label="collocation")
+    with pytest.raises(IllConditionedError, match=r"^collocation of size 2 is "
+                       r"numerically rank-deficient \(condition estimate inf\)$"):
+        solve_sparse(system)
+    assert system.condition == np.inf
+
+
+def table2_knots():
+    # table2's ellipse and knot count; at c = 18, dgecon puts its dense fit
+    # 14 times below the exact kappa_1
+    return ellipse_knots(Ellipse(np.array([3.0, 0.0]), 1.5, 0.5), 9)
+
+
+def ellipse_200_mixed_knots():
+    return ellipse_knots(ELL, 200).with_dirichlet_count(120)
+
+
+@pytest.mark.parametrize("make_knots", [table2_knots, ellipse_mixed_knots,
+                                        octagon_mixed_knots, scattered_knots,
+                                        grid_knots, sphere_mixed_knots,
+                                        ellipse_200_mixed_knots])
+def test_sparse_condition_estimate_is_a_close_lower_bound(make_knots):
+    # Hager-Higham's estimate is a lower bound on |A^-1|_1. Up to rounding:
+    # np.linalg.cond(a, 1) inverts a, to a relative error of order
+    # kappa_1 eps, so systems past 1e13 have no reference here. Over the 164
+    # systems compared, the exact kappa_1 is at most 10.9 times the estimate
+    # (the grid's dense fit at c = 3), and at most 4.7 times on the others;
+    # k = N is compared against the dense matrix itself
+    ks = make_knots()
+    n, eps = ks.size, np.finfo(float).eps
+    matrices = [build_interpolation_matrix(ks, mq_pair(c)) for c in (0.5, 3.0, 18.0)]
+    matrices.append(assemble_homogeneous_rows(ks, GeneralSolution(ks.dimension)))
+    compared = 0
+    for matrix in matrices:
+        for k in sorted({1, 2, 3, 5, 8, n // 2, n} & set(range(1, n + 1))):
+            system = truncate_system(lambda i, j: matrix[i, j], np.ones(n), ks, k)
+            try:
+                solve_sparse(system)
+            except (BkmError, np.linalg.LinAlgError):
+                continue    # rank-deficient, or singular (k = 1 on Neumann rows)
+            exact = np.linalg.cond(matrix if k == n else system.matrix.toarray(), 1)
+            if exact <= 1e13:
+                assert exact / 11 <= system.condition <= exact * (1 + 8 * eps * exact)
+                compared += 1
+    assert compared >= 12
 
 
 def test_sparse_solve_records_its_backward_error():
     ks, matrix, rhs = mq_system(10)
-    system = truncate_system(matrix, rhs, ks, 4, "particular-fit")
-    assert system.eta is None
+    system = truncate_system(lambda i, j: matrix[i, j], rhs, ks, 4, "particular-fit")
+    assert system.eta is None and system.condition is None
     x = solve_sparse(system)
     a = system.matrix
     eta = np.max(np.abs(rhs - a @ x)) / (
         abs(a).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(rhs)))
     assert system.eta == eta and 0 < eta <= RESIDUAL_TOL
-    assert system.record() == SolveRecord("particular-fit", 10, None, eta)
+    assert 1.0 <= system.condition <= bkm._linalg.COND_LIMIT
+    assert system.record() == SolveRecord("particular-fit", 10, system.condition, eta)

@@ -1,6 +1,7 @@
 """FactoredMatrix against the scipy wrappers it replaces, the backward-error
 gate every solve passes, and the input checks that guard every dense solve
 and field evaluation."""
+import functools
 import re
 import warnings
 
@@ -66,6 +67,25 @@ def test_condition_estimate_matches_dgecon_on_the_scipy_factors():
     a, _ = well_conditioned(7, seed=1)
     rcond, _ = sla.lapack.dgecon(sla.lu_factor(a)[0], np.linalg.norm(a, 1))
     assert FactoredMatrix(a).condition == 1.0 / rcond
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 144])
+def test_inverse_norm_estimate_is_dgecons_iteration(n):
+    # dgecon runs LAPACK's dlacn2 on U^-1 L^-1 (A^-1 with its columns
+    # permuted, which keeps the 1-norm): the same iteration over the same
+    # triangular solves gives its estimate up to rounding (there are no ties
+    # in the sign vectors or the argmax on these matrices)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0, n)
+        lu = sla.lu_factor(a)[0]
+        rcond, _ = sla.lapack.dgecon(lu, np.linalg.norm(a, 1))
+        triangular = functools.partial(sla.solve_triangular, lu)   # U by default
+        unit_lower = {"lower": True, "unit_diagonal": True}
+        estimate = _linalg.inverse_norm_estimate(
+            lambda b: triangular(triangular(b, **unit_lower)),
+            lambda b: triangular(triangular(b, trans=1), trans=1, **unit_lower), n)
+        assert estimate * np.linalg.norm(a, 1) == pytest.approx(1.0 / rcond, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

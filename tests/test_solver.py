@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bkm import _linalg, bench, geometry, kernels, solver
-from bkm._linalg import RESIDUAL_TOL, FactoredMatrix
+from bkm._linalg import COND_LIMIT, RESIDUAL_TOL, FactoredMatrix
 from bkm.drm import (DrmFit, build_interpolation_matrix, evaluate_particular,
                      evaluate_particular_normal)
 from bkm.errors import DegenerateGeometryError, IllConditionedError
+from bkm.frm import solve_sparse, truncate_system
 from bkm.geometry import Ellipse, KnotSet, ellipse_knots, pairwise_distances
 from bkm.gsr import ConstrainedFit, GsrKernel, evaluate_constrained
 from bkm.kernels import GeneralSolution, bessel_j0, bessel_j1, mq_pair
@@ -891,30 +892,41 @@ def test_truncation_refuses_a_fractional_k(solve, problem):
     (solve_nonlinear_boundary_only, nonlinear_problem(), 12, 18.0)],
     ids=["linear", "nonlinear"])
 def test_truncated_solution_records_both_stages(solve, problem, n, c):
-    sol = solve(problem, ellipse_knots(problem.geometry, n), mq_pair(c), frm_k=5)
+    ks = ellipse_knots(problem.geometry, n)
+    sol = solve(problem, ks, mq_pair(c), frm_k=5)
+    # each stage records the condition estimate of its truncated system,
+    # the one solve_sparse takes of the dense matrix truncated alone
+    systems = [truncate_system(lambda i, j: a[i, j], np.ones(n), ks, 5)
+               for a in (build_interpolation_matrix(ks, mq_pair(c)),
+                         assemble_homogeneous_rows(ks, GeneralSolution(2)))]
+    for system in systems:
+        solve_sparse(system)
+        exact = np.linalg.cond(system.matrix.toarray(), 1)
+        assert exact / 5 <= system.condition <= exact * (1 + 1e-12)
     assert [(rec.label, rec.size, rec.condition) for rec in sol.diagnostics] == \
-        [("particular-fit", n, None), ("collocation", n, None)]
+        [("particular-fit", n, systems[0].condition),
+         ("collocation", n, systems[1].condition)]
     assert all(0 < rec.eta <= RESIDUAL_TOL for rec in sol.diagnostics)
     assert np.all(np.isfinite(sol.lam))
 
 
 @pytest.mark.parametrize("frm_k", [None, 7], ids=["dense", "truncated"])
 def test_a_backward_error_refusal_names_the_stage(monkeypatch, frm_k):
-    # the dense path reports the stage's own condition estimate, the sparse
-    # path, which has none, reports no estimate
-    monkeypatch.setattr(_linalg, "RESIDUAL_TOL", 0.0)
+    # each path reports the stage's own condition estimate: dgecon's on the
+    # dense path, the sparse LU's on the truncated one
     problem = helmholtz_problem()
     ks = ellipse_knots(ELL1, 7)
+    if frm_k is None:
+        condition = FactoredMatrix(build_interpolation_matrix(ks, mq_pair(3.0))).condition
+    else:
+        condition = solve_linear(problem, ks, mq_pair(3.0),
+                                 frm_k=frm_k).diagnostics[0].condition
+    monkeypatch.setattr(_linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(IllConditionedError,
                        match="particular-fit solve backward error") as info:
         solve_linear(problem, ks, mq_pair(3.0), frm_k=frm_k)
-    if frm_k is None:
-        fit = FactoredMatrix(build_interpolation_matrix(ks, mq_pair(3.0)))
-        assert info.value.condition == fit.condition
-        assert f"(condition estimate {fit.condition:.3e})" in str(info.value)
-    else:
-        assert info.value.condition is None
-        assert "condition estimate" not in str(info.value)
+    assert info.value.condition == condition
+    assert f"(condition estimate {condition:.3e})" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +955,9 @@ def test_every_solve_answers_within_its_gates_or_refuses(
             sol = solve(problem, knots, kernel, frm_k=frm_k)
         except (IllConditionedError, DegenerateGeometryError):
             return None
-        assert all(rec.eta <= RESIDUAL_TOL for rec in sol.diagnostics)
+        # every stage, dense or truncated, carries a condition estimate
+        assert all(rec.eta <= RESIDUAL_TOL and rec.condition <= COND_LIMIT
+                   for rec in sol.diagnostics)
         assert np.isfinite(evaluate(sol, pts)).all()
         return sol
 

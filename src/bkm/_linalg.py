@@ -41,7 +41,7 @@ class SolveRecord(NamedTuple):
 
     label: str
     size: int
-    condition: float | None
+    condition: float
     eta: float
 
 
@@ -78,7 +78,9 @@ def checked_solve(solve, matrix, norm, rhs, label, condition):
     the columns of a matrix ``rhs``; ``norm`` is |A|. Refines once in float64
     only if eta exceeds ``RESIDUAL_TOL``; if it still does, raises
     :class:`IllConditionedError` naming ``label`` and carrying ``condition``.
-    A non-finite x raises ``LinAlgError`` before eta is formed.
+    A non-finite x is refused before eta is formed: an inf or a NaN in rhs,
+    which LU substitution carries into x, with ``ValueError``, otherwise
+    with ``LinAlgError``; rhs is read only then.
     """
     # column maxima by ufunc reduces (ndarray.max adds a Python frame)
     rhs_norm = np.maximum.reduce(np.abs(rhs), 0)
@@ -86,6 +88,8 @@ def checked_solve(solve, matrix, norm, rhs, label, condition):
     for may_refine in (True, False):
         x_norm = np.maximum.reduce(np.abs(x), 0)
         if not np.maximum.reduce(x_norm, None, initial=0.0) < np.inf:  # inf or NaN
+            if not np.isfinite(rhs).all():
+                raise ValueError(f"{label} right-hand side must not contain infs or NaNs")
             raise np.linalg.LinAlgError(f"{label} solve produced non-finite values")
         resid = rhs - matrix.dot(x)
         scale = norm * x_norm + rhs_norm + 1e-300   # eta = 0 where x = b = 0
@@ -119,7 +123,8 @@ class FactoredMatrix:
             raise ValueError(f"illegal value in argument {-info} of dgetrf")
         rcond, info = lapack.dgecon(self._lu, anorm, "1")
         if info != 0:
-            raise np.linalg.LinAlgError(f"condition estimation failed (info={info})")
+            raise np.linalg.LinAlgError(
+                f"{label} condition estimation failed (info={info})")
         self.condition = float(1.0 / rcond) if rcond > 0 else np.inf
         check_condition(self.condition, label, self.size)
 
@@ -127,22 +132,14 @@ class FactoredMatrix:
         return SolveRecord(self.label, self.size, self.condition, self.eta)
 
     def solve(self, rhs):
-        """Solve A x = rhs for one right-hand side or a matrix of them.
-
-        An inf or a NaN in rhs raises ``ValueError``: LU substitution carries
-        it into x, whose check in :func:`checked_solve` fails; then rhs is read."""
+        """Solve A x = rhs for one right-hand side or a matrix of them; an
+        inf or a NaN in rhs raises ``ValueError`` (:func:`checked_solve`)."""
         b = np.asarray(rhs, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != self.size:
             raise ValueError(f"right-hand side of shape {b.shape} does not fit "
                              f"a {self.size} x {self.size} {self.label}")
-        try:
-            x, eta = checked_solve(self._lu_solve, self.matrix, self._norm_inf, b,
-                                   self.label, self.condition)
-        except np.linalg.LinAlgError:
-            if not np.isfinite(b).all():
-                raise ValueError(
-                    "right-hand side must not contain infs or NaNs") from None
-            raise
+        x, eta = checked_solve(self._lu_solve, self.matrix, self._norm_inf, b,
+                               self.label, self.condition)
         self.eta = max(self.eta, eta)
         return x
 

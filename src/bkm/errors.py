@@ -12,7 +12,8 @@ class DegenerateGeometryError(BkmError, ValueError):
 class IllConditionedError(BkmError, ArithmeticError):
     """Raised when a linear system is too ill-conditioned to solve reliably.
 
-    Carries the 1-norm condition estimate, or None where a stage has none.
+    Carries the refusing stage's 1-norm condition estimate; None only when
+    raised without one.
     """
 
     def __init__(self, message: str, condition: float | None = None):

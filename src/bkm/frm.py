@@ -78,25 +78,26 @@ def truncate_system(entries, rhs, knots: KnotSet, k: int,
 def solve_sparse(system: SparseSystem) -> np.ndarray:
     """Sparse LU solve (partial pivoting) through the dense stages' gates:
     ``system.condition`` (|A|_1 times :func:`bkm._linalg.inverse_norm_estimate`,
-    at most the exact kappa_1) and ``system.eta`` (``checked_solve``). Also
-    raises on singularity and a non-finite solution."""
+    at most the exact kappa_1, or inf where SuperLU finds it exactly
+    singular) and ``system.eta`` (``checked_solve``), refusing as they do."""
     # SuperLU is imported here: only truncated solves need it, and a dense
     # solve should not pay for loading it
     import scipy.sparse.linalg as spla
 
-    m = system.matrix.tocsc()
-    if m.shape[0] != m.shape[1]:
+    m, a = system.matrix.tocsc(), system.matrix
+    n = m.shape[0]
+    if n != m.shape[1]:
         raise ValueError("system must be square")
     try:
         lu = spla.splu(m)
-    except RuntimeError as exc:   # SuperLU signals singularity this way
-        raise np.linalg.LinAlgError(f"sparse factorisation failed: {exc}") from exc
-    # |A|_1 by columns, |A|_inf by rows (splu refuses an empty one); as Python
-    # floats, a product past 1e308 is inf with no numpy warning
-    n, a = m.shape[0], system.matrix
-    norm_1 = float(np.add.reduceat(np.abs(m.data), m.indptr[:-1]).max())
-    system.condition = norm_1 * inverse_norm_estimate(
-        lu.solve, lambda b: lu.solve(b, trans="T"), n)
+    except RuntimeError:   # SuperLU's exactly zero pivot: dense rcond = 0
+        system.condition = np.inf
+    else:
+        # |A|_1 by columns, |A|_inf by rows; as Python floats, a product
+        # past 1e308 is inf with no numpy warning
+        norm_1 = float(np.add.reduceat(np.abs(m.data), m.indptr[:-1]).max())
+        system.condition = norm_1 * inverse_norm_estimate(
+            lu.solve, lambda b: lu.solve(b, trans="T"), n)
     check_condition(system.condition, system.label, n)
     norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
     x, system.eta = checked_solve(lu.solve, a, norm, system.rhs, system.label,

@@ -15,11 +15,12 @@ collocation as unknowns. Each solution records one :class:`SolveRecord` per
 factorisation, dense or sparse, which is how tests assert the single-solve
 property; every solve passes one backward-error gate.
 
-One function applies the boundary operator (the value, or on Neumann rows
-the normal derivative) to J0 for the dense rows and the truncated entries,
-and to ``phi_hat`` for the data correction D - u_p, N - du_p/dn. Only a
-coupled linear rest builds the interior rows: elsewhere no solve reads
-them, and the field at the interior knots is evaluated only if asked for.
+The collocation is the N boundary rows. One function applies the boundary
+operator (the value on Dirichlet rows, the normal derivative on Neumann
+rows) to J0 for those rows and the truncated entries, and to ``phi_hat``
+for the data correction D - u_p, N - du_p/dn. A coupled linear rest
+appends its own interior block, J0 values at the interior knots; elsewhere
+the field at the interior knots is evaluated only if asked for.
 
 The finite-support (FRM) variant is the same pipeline: with ``frm_k`` both
 systems are truncated to k nearest neighbours, their kernels evaluated at
@@ -155,49 +156,43 @@ _GENERAL_SOLUTIONS = {d: GeneralSolution(d) for d in (2, 3)}   # shared by every
 
 def _boundary_operator(radial, knots: KnotSet, rows, cols):
     """The boundary operator on a radial kernel ``(value, normal_derivative)``
-    at knot distances: the normal derivative at the row knot on a Neumann
-    row, the value everywhere else. Two forms: a block, ``rows`` a slice of
-    the knots with a stop and ``cols`` a slice, gives the (m, n) block;
-    gathered pairs, ``rows`` and ``cols`` (p,) index arrays with ``rows``
-    ascending, give p entries. Knots run Dirichlet, Neumann, interior, so
-    either way the Neumann rows are one run lo:hi along axis 0."""
+    at knot distances from boundary row knots: the value on a Dirichlet row,
+    the normal derivative at the row knot on a Neumann row. Two forms: a
+    block, ``rows`` a slice of the boundary knots with a stop and ``cols`` a
+    slice, gives the (m, n) block; gathered pairs, ``rows`` and ``cols`` (p,)
+    index arrays with ``rows`` ascending boundary knots, give p entries.
+    Boundary knots run Dirichlet, then Neumann, so either way the rows are a
+    Dirichlet run :lo and a Neumann run lo:."""
     value, normal_derivative = radial
-    nd, nb = knots.dirichlet_count, knots.n_boundary
+    nd = knots.dirichlet_count
     r = knots.distances_at(rows, cols)
     if isinstance(rows, slice):   # a block: (m, 1, d) row knots against (n, d) columns
         start = rows.start or 0
-        lo, hi = max(nd, start) - start, min(nb, rows.stop) - start
-        i, j = (slice(start + lo, start + hi), None), cols
+        lo = max(nd, start) - start
+        i, j = (slice(start + lo, rows.stop), None), cols
     else:                         # gathered pairs: (p, d) against (p, d)
-        lo, hi = rows.searchsorted((nd, nb)).tolist()
-        i, j = rows[lo:hi], cols[lo:hi]
-    if lo >= hi:
+        lo = int(rows.searchsorted(nd))
+        i, j = rows[lo:], cols[lo:]
+    if lo >= len(r):
         return value(r)
     out = np.empty(r.shape)
-    for a, b in ((0, lo), (hi, len(r))):    # kernels only where they are kept
-        if a < b:
-            out[a:b] = value(r[a:b])
+    if lo:                        # kernels only where they are kept
+        out[:lo] = value(r[:lo])
     proj = _normal_projections(knots.all_positions[i], knots.boundary_normals[i],
-                               knots.all_positions[j], r[lo:hi])
-    out[lo:hi] = normal_derivative(r[lo:hi], proj)
+                               knots.all_positions[j], r[lo:])
+    out[lo:] = normal_derivative(r[lo:], proj)
     return out
 
 
-def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution, *,
-                              boundary_only: bool = False) -> np.ndarray:
-    """Collocation rows of the general-solution expansion.
+def assemble_homogeneous_rows(knots: KnotSet, gs: GeneralSolution) -> np.ndarray:
+    """The N x N collocation matrix of the general-solution expansion.
 
-    Columns are indexed by the N boundary source knots. Dirichlet rows hold
-    basis values, Neumann rows the normal derivative, and interior rows
-    (appended after the boundary block) basis values again. Row order
-    follows the knot ordering. ``boundary_only`` builds the N boundary rows
-    alone, the square system of a solve whose interior values are not
-    unknowns; the default builds all N + L rows.
+    Rows and columns are the N boundary knots in knot order: Dirichlet rows
+    hold basis values, Neumann rows their normal derivative at the row knot.
     """
     nb = knots.n_boundary
     return _boundary_operator((gs.value, gs.normal_derivative), knots,
-                              slice(nb if boundary_only else knots.size),
-                              slice(nb))
+                              slice(nb), slice(nb))
 
 
 def _read_data(name: str, fn, points: np.ndarray) -> np.ndarray:
@@ -294,10 +289,11 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
 
     The boundary data is read once and serves both stages. The fit is
     affine in the interior u-values, alpha = alpha_0 + alpha_u u_int. When
-    it depends on them (a linear rest with interior knots), the interior
-    rows u(x_j) = u_int_j join the collocation, whose unknowns are then
-    [lambda; u_int]. Otherwise the collocation is the N boundary rows alone,
-    and u_int is left for :class:`BkmSolution` to evaluate on use.
+    it depends on them (a linear rest with interior knots), interior rows
+    u(x_j) = u_int_j are appended to the N boundary rows of the collocation,
+    whose unknowns are then [lambda; u_int]. Otherwise the collocation is
+    the boundary rows, and u_int is left for :class:`BkmSolution` to
+    evaluate on use.
     """
     gs = _GENERAL_SOLUTIONS[knots.dimension]
     data = _boundary_data(problem, knots)
@@ -311,7 +307,7 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
     interior_u = None
     if rhs_u is None:
         lam, coll_lu = _solve_stage(
-            lambda: assemble_homogeneous_rows(knots, gs, boundary_only=True),
+            lambda: assemble_homogeneous_rows(knots, gs),
             lambda i, j: _boundary_operator((gs.value, gs.normal_derivative),
                                             knots, i, j),
             rhs_h, knots, frm_k, "collocation")
@@ -320,7 +316,9 @@ def _finish_two_step(problem, knots, kernel, frm_k=None):
         nb = knots.n_boundary
         alpha_u = fit_lu.solve(rhs_u)
         b = u_interp.matrix                   # phi_hat at the knots
-        system = np.hstack([assemble_homogeneous_rows(knots, gs), b @ alpha_u])
+        interior_rows = gs.value(knots.distances_at(slice(nb, None), slice(nb)))
+        system = np.hstack([np.vstack([assemble_homogeneous_rows(knots, gs),
+                                       interior_rows]), b @ alpha_u])
         system[nb:, nb:] -= np.eye(knots.n_interior)
         coll_lu = FactoredMatrix(system, label="collocation")
         z = coll_lu.solve(np.concatenate([rhs_h, -b[nb:] @ alpha]))

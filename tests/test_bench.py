@@ -64,6 +64,8 @@ def test_case_construction_rejects_wrong_exact():
     with pytest.raises(ValueError):
         dataclasses.replace(case, exact_values=case.exact_values + 1.0,
                             governing_residual=lambda p: np.ones(len(p)))
+    with pytest.raises(ValueError, match="test points and exact values must align"):
+        dataclasses.replace(case, exact_values=case.exact_values[:-1])
 
 
 def test_named_case_lookup():

@@ -132,6 +132,10 @@ def test_sweep_validation(capsys):
     assert run_cli(capsys, "sweep", "table1", "--knots", "7,5")[0] == 2
     assert run_cli(capsys, "sweep", "table1", "--knots", "abc")[0] == 2
     assert run_cli(capsys, "sweep", "table1", "--knots", "0,5")[0] == 2
+    # a list of nothing but separators holds no count
+    code, out, err = run_cli(capsys, "sweep", "table1", "--knots", ",")
+    assert (code, out) == (2, "")
+    assert "usage" in err.lower()
 
 
 def test_out_file_byte_identical(tmp_path, capsys):
@@ -196,6 +200,18 @@ def test_solve_refuses_data_that_overflows_naming_the_callable(tmp_path, capsys)
     assert err == "error: dirichlet must return finite values, got nan\n"
 
 
+def test_solve_refused_by_the_solver_exits_one(tmp_path, capsys):
+    # at 20 knots and c = 3 the collocation is rank-deficient: the refusal,
+    # naming the stage, is the one line on stderr and nothing is printed
+    path = tmp_path / "problem.txt"
+    path.write_text(PROBLEM_FILE.replace("knots = 7", "knots = 20"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"solver error: collocation of size 20 is numerically "
+                        r"rank-deficient \(condition estimate \d\.\d{3}e\+\d\d\)\n", err)
+    assert float(err.rsplit(" ", 1)[1][:-2]) > 1e14
+
+
 def test_solve_missing_file_exits_two(capsys):
     code, *_ = run_cli(capsys, "solve", "/nonexistent/problem.txt")
     assert code == 2
@@ -211,6 +227,19 @@ def test_solve_bad_problem_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 2
     assert f"{path}:1: " in err and "seven" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("c = 3", "shape = 3"), r":8: unknown key 'shape'"),
+    (("c = 3\n", ""), r": missing required key 'c'"),
+    (("ellipse = 0 0 2 1", "ellipse = 0 0 2"), r":4: ellipse needs 'cx cy a b'")],
+    ids=["unknown-key", "missing-key", "short-ellipse"])
+def test_solve_refuses_a_malformed_problem_file(tmp_path, capsys, edit, message):
+    path = tmp_path / "problem.txt"
+    path.write_text(PROBLEM_FILE.replace(*edit))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{message}\n"
 
 
 def test_parse_problem_file_grammar(tmp_path):
@@ -284,3 +313,14 @@ def test_bkm_log_info_reports_each_stages_backward_error(capsys, monkeypatch, fr
         # dense stages log dgecon's estimate, truncated ones the sparse LU's
         condition = re.search(r", condition estimate (\S+), eta ", line)
         assert condition and 1.0 <= float(condition[1]) <= 1e14
+
+
+def test_unknown_bkm_log_value_warns_then_logs_at_info(capsys, monkeypatch):
+    monkeypatch.setenv("BKM_LOG", "Loud")
+    code, out, err = run_cli(capsys, "bench", "table1")
+    assert code == 0
+    assert out.startswith("x,y,exact,computed")
+    lines = err.splitlines()
+    assert lines[0] == "WARNING bkm: unknown BKM_LOG value 'loud', using info"
+    assert lines[1].startswith("INFO bkm: case table1: 7 knots")
+    assert sum(", condition estimate " in line for line in lines) == 2

@@ -53,10 +53,36 @@ def test_solve_sparse_refuses_a_non_square_system():
 
 
 def test_solve_sparse_refuses_a_non_finite_solution():
+    # an inf in b is refused as the dense path refuses it, naming the stage;
+    # a finite b whose solution overflows is refused by its solution
     system = SparseSystem(matrix=sp.csr_matrix(np.eye(3)),
-                          rhs=np.array([1.0, np.inf, 0.0]), k=1)
-    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                          rhs=np.array([1.0, np.inf, 0.0]), k=1, label="collocation")
+    with pytest.raises(ValueError, match="^collocation right-hand side must not "
+                                         "contain infs or NaNs$"):
         solve_sparse(system)
+    system = SparseSystem(matrix=sp.csr_matrix(1e-300 * np.eye(3)),
+                          rhs=np.array([1.0, 1e10, 0.0]), k=1, label="collocation")
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^collocation solve produced non-finite values$"):
+        solve_sparse(system)
+
+
+def test_an_exactly_singular_truncated_system_is_refused_as_the_dense_one_is():
+    # a zero row kept by the truncation: SuperLU finds an exactly zero pivot,
+    # and the refusal is dgetrf's and dgecon's on the dense matrix, word for word
+    ks = ellipse_knots(ELL, 6)
+    matrix = build_interpolation_matrix(ks, mq_pair(1.0))
+    matrix[2] = 0.0
+    system = truncate_system(lambda i, j: matrix[i, j], np.ones(6), ks, 3,
+                             label="particular-fit")
+    with pytest.raises(IllConditionedError) as sparse:
+        solve_sparse(system)
+    with pytest.raises(IllConditionedError) as dense:
+        FactoredMatrix(system.matrix.toarray(), label="particular-fit")
+    assert str(sparse.value) == str(dense.value) == (
+        "particular-fit of size 6 is numerically rank-deficient (condition estimate inf)")
+    assert sparse.value.condition == dense.value.condition == np.inf
+    assert system.condition == np.inf
 
 
 def mq_system(n, c=1.0, seed=1):
@@ -333,7 +359,7 @@ def test_sparse_solve_rejects_structural_singularity():
     ks = KnotSet(pos, normals)
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])   # zero diagonal
     sparse = truncate_system(lambda i, j: matrix[i, j], np.ones(2), ks, 1)
-    with pytest.raises((np.linalg.LinAlgError, IllConditionedError)):
+    with pytest.raises(IllConditionedError, match=r"\(condition estimate inf\)$"):
         solve_sparse(sparse)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from bkm.errors import DegenerateGeometryError
 from bkm.geometry import (COINCIDENT_TOL, UNIT_TOL, Ellipse, KnotSet,
-                          _normal_projections, _row_norms, ellipse_knots,
+                          _normal_projections, _row_norms, as_point, ellipse_knots,
                           pairwise_distances)
 from oracles import KNOT_PATHS, every_knot_set_on
 
@@ -66,6 +68,14 @@ def test_ellipse_knots_rejects_zero():
     with pytest.raises(ValueError, match="knot count out of range: expected at "
                                          "least 1, got 0"):
         ellipse_knots(Ellipse(np.zeros(2), 2.0, 1.0), 0)
+
+
+def test_a_point_and_an_ellipse_centre_refuse_the_wrong_dimension():
+    with pytest.raises(ValueError, match=re.escape(
+            "point must have dimension 2 or 3, got shape (4,)")):
+        as_point([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="ellipse center must be two-dimensional"):
+        Ellipse(np.zeros(3), 2.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 16, 50])

@@ -181,6 +181,9 @@ def test_timespace_distance_basics():
     assert timespace_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
     with pytest.raises(ValueError):
         timespace_distance([0.0, 0.0], [1.0, 2.0, 3.0])
+    for p, q in (([0.0, np.inf], [0.0, 0.0]), ([0.0, 0.0], [-np.inf, 1.0])):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            timespace_distance(p, q)
 
 
 @given(ax=coord, at=coord, bx=coord, bt=coord, cx=coord, ct=coord)

@@ -260,6 +260,13 @@ def test_a_refusal_without_a_condition_names_no_estimate():
     assert str(IllConditionedError("fit", np.inf)) == "fit (condition estimate inf)"
 
 
+def test_a_condition_estimation_failure_names_its_stage(monkeypatch):
+    monkeypatch.setattr(_linalg.lapack, "dgecon", lambda lu, anorm, norm: (1.0, -2))
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape(
+            "collocation condition estimation failed (info=-2)")):
+        FactoredMatrix(np.eye(3), label="collocation")
+
+
 def test_a_non_finite_solution_is_refused_before_its_backward_error(monkeypatch):
     a, b = well_conditioned(5, seed=2)
     f = FactoredMatrix(a, label="fit")

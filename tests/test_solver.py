@@ -103,12 +103,29 @@ def test_neumann_rows_match_manual_formula():
             assert rows[i, k] == pytest.approx(-bessel_j1(r) * proj, abs=1e-14)
 
 
-def test_interior_rows_are_value_rows():
+def test_interior_rows_are_value_rows(monkeypatch):
+    # the collocation rows are the N boundary rows, interior knots or not;
+    # a coupled linear rest appends one row of J0 values per interior knot
     ks = ellipse_knots(ELL1, 4).with_interior(np.array([[0.2, 0.1]]))
     rows = assemble_homogeneous_rows(ks, GeneralSolution(2))
-    assert rows.shape == (5, 4)
+    assert rows.shape == (4, 4)
+    systems = {}
+    factor = FactoredMatrix.__init__
+
+    def spy(self, matrix, label="system"):
+        systems[label] = np.array(matrix)
+        factor(self, matrix, label)
+
+    monkeypatch.setattr(FactoredMatrix, "__init__", spy)
+    problem = ProblemSpec(forcing=lambda p: np.ones(len(p)),
+                          dirichlet=lambda p: np.ones(len(p)),
+                          rho=RhoLinear(_phi_hat_images), geometry=ELL1)
+    solve_linear(problem, ks, mq_pair(1.0))
+    system = systems["collocation"]
+    assert system.shape == (5, 5)
+    assert system[:4, :4].tobytes() == rows.tobytes()
     r = np.linalg.norm(np.array([0.2, 0.1]) - ks.boundary_positions, axis=1)
-    np.testing.assert_allclose(rows[4], bessel_j0(r))
+    np.testing.assert_allclose(system[4, :4], bessel_j0(r))
 
 
 def test_dirichlet_only_collocation_matrix_symmetric():
@@ -128,7 +145,7 @@ def test_dirichlet_only_boundary_operator_is_the_plain_kernel(make_knots, c):
     ks, kernel = make_knots(), mq_pair(c)
     gs = GeneralSolution(ks.dimension)
     nb = ks.n_boundary
-    rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
+    rows = assemble_homogeneous_rows(ks, gs)
     dists = pairwise_distances(ks.all_positions, ks.all_positions)
     assert rows.tobytes() == gs.value(dists[:nb, :nb]).tobytes()
     rng = np.random.default_rng(nb)
@@ -144,14 +161,15 @@ def test_boundary_operator_block_and_gathered_pairs_agree():
     gs = GeneralSolution(2)
     radial = (gs.value, gs.normal_derivative)
     nb = ks.n_boundary
-    block = solver._boundary_operator(radial, ks, np.s_[:ks.size], np.s_[:nb])
-    assert block.shape == (ks.size, nb)
-    rows, cols = np.divmod(np.arange(ks.size * nb), nb)
+    block = solver._boundary_operator(radial, ks, np.s_[:nb], np.s_[:nb])
+    assert block.shape == (nb, nb)
+    rows, cols = np.divmod(np.arange(nb * nb), nb)
     gathered = solver._boundary_operator(radial, ks, rows, cols)
     assert gathered.tobytes() == block.ravel().tobytes()
     # a block of a row range is those rows of the whole block, with the
-    # range starting and ending before, inside and after the Neumann run
-    for a, b in ((0, 3), (0, 5), (0, 9), (0, nb), (2, 7), (6, 10), (9, 16)):
+    # range starting before and inside the Neumann run and ending inside it
+    # or at its end
+    for a, b in ((0, 3), (0, 5), (0, 9), (0, nb), (2, 7), (6, 10), (9, nb)):
         part = solver._boundary_operator(radial, ks, np.s_[a:b], np.s_[:nb])
         assert part.tobytes() == block[a:b].tobytes()
 
@@ -281,6 +299,14 @@ def test_helmholtz_benchmark_five_knots_center():
     sol = solve_linear(helmholtz_problem(), ks, mq_pair(3.0))
     # reference run deviates by about 0.1 at the centre; allow the same band
     assert abs(evaluate(sol, [0.0, 0.0])) <= 0.15
+
+
+def test_evaluate_refuses_points_of_another_dimension():
+    sol = solve_linear(helmholtz_problem(), ellipse_knots(ELL1, 7), mq_pair(3.0))
+    for x in ([1.0, 0.0, 0.0], np.zeros((4, 3))):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected a point of dimension 2 or an array of them")):
+            evaluate(sol, x)
 
 
 def test_collocation_residual_at_dirichlet_knots():
@@ -482,11 +508,11 @@ def test_boundary_rows_and_interior_values_property(a, aspect, n_boundary,
     if n_interior:
         ks = ks.with_interior(ell.interior_samples(n_interior, seed, shrink=0.8))
     gs = GeneralSolution(2)
-    boundary_rows = assemble_homogeneous_rows(ks, gs, boundary_only=True)
-    all_rows = assemble_homogeneous_rows(ks, gs)
-    assert boundary_rows.shape == (n_boundary, n_boundary)
-    assert all_rows.shape == (ks.size, n_boundary)
-    assert boundary_rows.tobytes() == all_rows[:n_boundary].tobytes()
+    # the collocation is the boundary rows: interior knots leave its bits
+    rows = assemble_homogeneous_rows(ks, gs)
+    boundary = ellipse_knots(ell, n_boundary).with_dirichlet_count(nd)
+    assert rows.shape == (n_boundary, n_boundary)
+    assert rows.tobytes() == assemble_homogeneous_rows(boundary, gs).tobytes()
     try:
         sol = solve_linear(mixed_problem(ell), ks, mq_pair(1.0))
     except IllConditionedError:
